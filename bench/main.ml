@@ -1,14 +1,12 @@
 (* The benchmark executable.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (Table II, Figs. 6-11) at the `quick` scale and prints the same
-   rows/series the paper reports — set CHRONUS_SCALE=paper in the
-   environment for the published scale (CHRONUS_SCALE=tiny is the CI
-   smoke scale). When more than one domain is available (CHRONUS_JOBS,
-   else the recommended domain count) the suite is run twice — once
-   sequentially, once with the trial fan-out — the wall-clock of both
-   passes is reported, and the deterministic experiment rows of the two
-   passes are checked for equality.
+   Part 1 runs every figure of the registry (Chronus_experiments.Figure:
+   Table II, Figs. 6-11 and our own figures) at CHRONUS_SCALE (default
+   quick; tiny is the CI smoke scale, paper the published one). With
+   more than one domain (CHRONUS_JOBS, else the recommended domain
+   count) the suite runs twice — sequentially, then with the trial
+   fan-out — and each figure's stable rows must digest the same in both
+   passes.
 
    Part 2 runs Bechamel micro-benchmarks over every algorithmic
    component: the greedy scheduler (both engines), the
@@ -24,6 +22,7 @@ open Bechamel
 module E = Chronus_experiments
 module Pool = Chronus_parallel.Pool
 module Obs = Chronus_obs.Obs
+module Json = Chronus_obs.Json
 open Chronus_flow
 open Chronus_core
 open Chronus_baselines
@@ -32,141 +31,54 @@ open Chronus_topo
 (* ------------------------------------------------------------------ *)
 (* Part 1: the experiment suite.                                       *)
 
-(* Every figure is optional so `--figures <list>` can run a subset: a
-   field is [None] exactly when the filter excluded that figure, which
-   keeps the sequential/parallel digest comparison meaningful (both
-   passes run the same subset). *)
-type suite = {
-  table2 : E.Table2.result option;
-  fig6 : E.Fig6.result option;
-  fig7 : E.Fig7.row list option;
-  fig8 : E.Fig8.row list option;
-  fig9 : E.Fig9.row list option;
-  fig10 : E.Fig10.row list option;
-  fig_scale : E.Fig_scale.row list option;
-  fig_service : E.Fig_service.row list option;
-  fig_conns : E.Fig_conns.row list option;
-  fig11 : E.Fig11.result option;
-  robust : E.Fig_robust.row list option;
-  ablation : E.Ablation.row list option;
-  wall_s : float;  (** full part-1 wall clock *)
-  trial_wall_s : float;  (** the trial-parallel experiments only *)
-  metrics : (string * Obs.snapshot) list;
-      (** per-figure observability deltas, in run order; excluded from
-          the determinism digest (metrics observe, never decide) *)
-}
+(* One pass over the selected figures, in registry order. Per-figure
+   metrics are [Obs] snapshot deltas (counters are cumulative across the
+   process); they observe and never enter the digests. *)
+type pass = { wall_s : float; figures : E.Figure.measured list }
 
-let figure_names =
-  [
-    E.Table2.name; E.Fig6.name; E.Fig7.name; E.Fig8.name; E.Fig9.name;
-    E.Fig10.name; E.Fig_scale.name; E.Fig_service.name; E.Fig_conns.name;
-    E.Fig11.name; E.Fig_robust.name; E.Ablation.name;
-  ]
+let run_suite ~jobs ~figures scale =
+  let t0 = Obs.clock_ns () in
+  let figures = List.map (fun f -> E.Figure.measure f ~jobs ~scale) figures in
+  { wall_s = float_of_int (Obs.clock_ns () - t0) /. 1e9; figures }
 
-(* Everything except the measured timings of Fig. 10, the scale figure
-   and the service figure is a pure function of (scale, seed), so the
-   digest must match between a sequential and a parallel pass bit for
-   bit. *)
-let digest s =
-  Digest.string
-    (Marshal.to_string
-       (s.table2, s.fig6, s.fig7, s.fig8, s.fig9, s.fig11, s.robust, s.ablation)
-       [])
+(* The trial-parallel figures only. *)
+let trial_wall_s pass =
+  List.fold_left
+    (fun acc (m : E.Figure.measured) ->
+      let (E.Figure.Figure f) = m.figure in
+      if f.trial then acc +. m.wall_s else acc)
+    0. pass.figures
 
-let run_suite ~jobs ~want scale =
-  let now () = Unix.gettimeofday () in
-  let figure_metrics = ref [] in
-  (* Counters are cumulative across the whole process; per-figure views
-     are snapshot deltas taken around each figure's run. *)
-  let measured name f =
-    if not (want name) then None
-    else begin
-      let before = Obs.snapshot () in
-      let r = f () in
-      figure_metrics :=
-        (name, Obs.diff before (Obs.snapshot ())) :: !figure_metrics;
-      Some r
-    end
-  in
-  let t0 = now () in
-  let table2 = measured E.Table2.name (fun () -> E.Table2.run ~jobs ()) in
-  let fig6 = measured E.Fig6.name (fun () -> E.Fig6.run ()) in
-  let t1 = now () in
-  let fig7 = measured E.Fig7.name (fun () -> E.Fig7.run ~jobs ~scale ()) in
-  let fig8 = measured E.Fig8.name (fun () -> E.Fig8.run ~jobs ~scale ()) in
-  let fig9 = measured E.Fig9.name (fun () -> E.Fig9.run ~jobs ~scale ()) in
-  let fig11 = measured E.Fig11.name (fun () -> E.Fig11.run ~jobs ~scale ()) in
-  let robust =
-    measured E.Fig_robust.name (fun () -> E.Fig_robust.run ~jobs ~scale ())
-  in
-  let ablation =
-    measured E.Ablation.name (fun () -> E.Ablation.run ~jobs ~scale ())
-  in
-  let t2 = now () in
-  let fig10 = measured E.Fig10.name (fun () -> E.Fig10.run ~jobs ~scale ()) in
-  let fig_scale =
-    measured E.Fig_scale.name (fun () -> E.Fig_scale.run ~jobs ~scale ())
-  in
-  let fig_service =
-    measured E.Fig_service.name (fun () -> E.Fig_service.run ~jobs ~scale ())
-  in
-  let fig_conns =
-    measured E.Fig_conns.name (fun () -> E.Fig_conns.run ~jobs ~scale ())
-  in
-  let t3 = now () in
-  {
-    table2;
-    fig6;
-    fig7;
-    fig8;
-    fig9;
-    fig10;
-    fig_scale;
-    fig_service;
-    fig_conns;
-    fig11;
-    robust;
-    ablation;
-    wall_s = t3 -. t0;
-    trial_wall_s = t2 -. t1;
-    metrics = List.rev !figure_metrics;
-  }
+(* The figures whose stable rows differ between two passes over the same
+   selection. *)
+let mismatches a b =
+  List.filter_map
+    (fun ((m : E.Figure.measured), (n : E.Figure.measured)) ->
+      if m.digest = n.digest then None else Some (E.Figure.name m.figure))
+    (List.combine a.figures b.figures)
 
-let print_suite ?(metrics = false) s =
-  let banner name =
-    Printf.printf "\n================ %s ================\n%!" name
-  in
-  let print_metrics name =
-    if metrics then
-      match List.assoc_opt name s.metrics with
-      | None | Some [] -> ()
-      | Some snap ->
-          Printf.printf "\n-- metrics (%s) --\n" name;
-          Obs.print_table snap
-  in
-  let figure name print v =
-    match v with
-    | None -> ()
-    | Some v ->
-        banner name;
-        print v;
-        print_metrics name
-  in
-  figure E.Table2.name E.Table2.print s.table2;
-  figure E.Fig6.name E.Fig6.print s.fig6;
-  figure E.Fig7.name E.Fig7.print s.fig7;
-  figure E.Fig8.name E.Fig8.print s.fig8;
-  figure E.Fig9.name E.Fig9.print s.fig9;
-  figure E.Fig10.name E.Fig10.print s.fig10;
-  figure E.Fig_scale.name E.Fig_scale.print s.fig_scale;
-  figure E.Fig_service.name E.Fig_service.print s.fig_service;
-  figure E.Fig_conns.name E.Fig_conns.print s.fig_conns;
-  figure E.Fig11.name E.Fig11.print s.fig11;
-  figure E.Fig_robust.name E.Fig_robust.print s.robust;
-  figure E.Ablation.name E.Ablation.print s.ablation
+let print_suite ~metrics pass =
+  List.iter
+    (fun (m : E.Figure.measured) ->
+      let name = E.Figure.name m.figure in
+      Printf.printf "\n================ %s ================\n%!" name;
+      m.print ();
+      if metrics && m.metrics <> [] then begin
+        Printf.printf "\n-- metrics (%s) --\n" name;
+        Obs.print_table m.metrics
+      end)
+    pass.figures
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: micro-benchmarks.                                           *)
+
+(* Round-robin over [a], starting at index [from]: the probe stream
+   benchmarks draw one input per iteration from. *)
+let cycle ?(from = 0) a =
+  let i = ref (from - 1) in
+  fun () ->
+    incr i;
+    a.(!i mod Array.length a)
 
 (* Deterministic instances reused across benchmark iterations. *)
 let instance_of_size n =
@@ -248,14 +160,9 @@ let oracle_incremental_tests =
   in
   let probes = Array.of_list (List.filteri (fun i _ -> i >= cut) flips) in
   let ck = Oracle.Checker.create inst base in
-  let cursor = ref 0 in
-  let next () =
-    let p = probes.(!cursor mod Array.length probes) in
-    incr cursor;
-    p
-  in
   if Array.length probes = 0 then []
   else
+    let next = cycle probes in
     [
       Test.make ~name:"oracle-incremental/create/200"
         (Staged.stage (fun () -> ignore (Oracle.Checker.create inst base)));
@@ -296,12 +203,7 @@ let flow_table_tests =
     let rng = Rng.make 78 in
     Array.init 1024 (fun _ -> Rng.int rng 256)
   in
-  let cursor = ref 0 in
-  let next () =
-    let d = probes.(!cursor land 1023) in
-    incr cursor;
-    d
-  in
+  let next = cycle probes in
   [
     Test.make ~name:"flow-table/lookup/1000"
       (Staged.stage (fun () -> ignore (FT.lookup t ~dst:(next ()) ~tag:None)));
@@ -333,13 +235,7 @@ let prefix_table_tests =
          ~tag_match:FT.Any_tag
          (act (Rng.int rng 16)))
   done;
-  let probes = Array.init 1024 (fun _ -> Rng.int rng space) in
-  let cursor = ref 0 in
-  let next () =
-    let d = probes.(!cursor land 1023) in
-    incr cursor;
-    d
-  in
+  let next = cycle (Array.init 1024 (fun _ -> Rng.int rng space)) in
   let bindings =
     List.init 256 (fun i -> ((space / 2) lor i, act (i / 32)))
   in
@@ -365,12 +261,7 @@ let event_queue_tests =
   preload (EQ.Calendar.push cq);
   let hq = EQ.Heap.create () in
   preload (EQ.Heap.push hq);
-  let cursor = ref 1000 in
-  let next () =
-    let t = times.(!cursor land 4095) in
-    incr cursor;
-    t
-  in
+  let next = cycle ~from:1000 times in
   [
     Test.make ~name:"event-queue/push-pop"
       (Staged.stage (fun () ->
@@ -427,12 +318,7 @@ let service_tests =
            Footprint.of_flow ~graph:g ~fid ~demand:1 ~current ~target)
          pairs)
   in
-  let cursor = ref 0 in
-  let next_pair () =
-    let p = pairs.(!cursor land 15) in
-    incr cursor;
-    p
-  in
+  let next_pair = cycle pairs in
   let no_steady _ _ = 0 in
   (* Two single-flow reroute instances over the same graph; each
      iteration retargets the persistent session to the other one and
@@ -452,7 +338,7 @@ let service_tests =
       [| pairs.(0); pairs.(1) |]
   in
   let ck = Oracle.Checker.create (fst prepared.(0)) Schedule.empty in
-  let ck_cursor = ref 0 in
+  let next_prepared = cycle prepared in
   [
     Test.make ~name:"service/footprint"
       (Staged.stage (fun () ->
@@ -470,8 +356,7 @@ let service_tests =
              footprints));
     Test.make ~name:"service/checker-probe"
       (Staged.stage (fun () ->
-           let inst, flips = prepared.(!ck_cursor land 1) in
-           incr ck_cursor;
+           let inst, flips = next_prepared () in
            Oracle.Checker.retarget ck inst;
            ignore (Oracle.Checker.probe_list ck flips)));
   ]
@@ -566,62 +451,7 @@ let benchmarks () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_results.json: a tiny hand-rolled JSON emitter (the repo has no
-   JSON dependency and must not grow one).                             *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | String of string
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec emit b indent = function
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (string_of_bool v)
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-        if Float.is_nan f || Float.abs f = Float.infinity then
-          Buffer.add_string b "null"
-        else Buffer.add_string b (Printf.sprintf "%.6g" f)
-    | String s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (escape s))
-    | Obj fields ->
-        let pad n = String.make n ' ' in
-        Buffer.add_string b "{";
-        List.iteri
-          (fun i (key, v) ->
-            if i > 0 then Buffer.add_string b ",";
-            Buffer.add_string b
-              (Printf.sprintf "\n%s\"%s\": " (pad (indent + 2)) (escape key));
-            emit b (indent + 2) v)
-          fields;
-        if fields <> [] then
-          Buffer.add_string b (Printf.sprintf "\n%s" (pad indent));
-        Buffer.add_string b "}"
-
-  let to_string t =
-    let b = Buffer.create 1024 in
-    emit b 0 t;
-    Buffer.add_char b '\n';
-    Buffer.contents b
-end
+(* BENCH_results.json (schema documented in EXPERIMENTS.md).           *)
 
 (* The cumulative observability snapshot: counters/gauges as numbers,
    spans as {count, total_ns, max_ns} objects (since chronus-bench/2). *)
@@ -637,20 +467,28 @@ let metrics_json () =
                  [
                    ("count", Json.Int s.Obs.Span.count);
                    ("total_ns", Json.Int s.Obs.Span.total_ns);
-                   ("max_ns", Json.Int s.Obs.Span.max_ns);
+                   ( "max_ns",
+                     match s.Obs.Span.max_ns with
+                     | Some m -> Json.Int m
+                     | None -> Json.Null );
                  ] ))
        (Obs.snapshot ()))
+
+(* Report keys bound to cumulative counters (0 when a label never
+   fired). *)
+let counters_json keys =
+  let snap = Obs.snapshot () in
+  List.map
+    (fun (key, label) ->
+      match List.assoc_opt label snap with
+      | Some (Obs.Counter n) -> (key, Json.Int n)
+      | _ -> (key, Json.Int 0))
+    keys
 
 (* chronus-bench/3: how hard the incremental oracle worked across the
    whole run, plus the headline probes-per-second figure derived from the
    micro pass (null when only experiments ran). *)
 let oracle_cache_json ~micro =
-  let snap = Obs.snapshot () in
-  let counter label =
-    match List.assoc_opt label snap with
-    | Some (Obs.Counter n) -> Json.Int n
-    | _ -> Json.Int 0
-  in
   let probes_per_s =
     match micro with
     | None -> Json.Null
@@ -661,180 +499,49 @@ let oracle_cache_json ~micro =
         | _ -> Json.Null)
   in
   Json.Obj
-    [
-      ("cache_hits", counter "oracle.cache_hits");
-      ("cohorts_retraced", counter "oracle.cohorts_retraced");
-      ("full_evals", counter "oracle.full_evals");
-      ("probes_per_s", probes_per_s);
-    ]
+    (counters_json
+       [
+         ("cache_hits", "oracle.cache_hits");
+         ("cohorts_retraced", "oracle.cohorts_retraced");
+         ("full_evals", "oracle.full_evals");
+       ]
+    @ [ ("probes_per_s", probes_per_s) ])
 
 (* chronus-bench/4: fault-injection and recovery activity across the
    whole run — every fault site plus the hardened timed executor's
-   retry/fallback counters and the monitor's online violation tallies.
-   Keys are always present (0 when a site never fired). *)
+   retry/fallback counters and the monitor's online violation tallies. *)
 let faults_json () =
-  let snap = Obs.snapshot () in
-  let counter label =
-    match List.assoc_opt label snap with
-    | Some (Obs.Counter n) -> Json.Int n
-    | _ -> Json.Int 0
-  in
   Json.Obj
-    [
-      ("chan_lost", counter "faults.chan.lost");
-      ("chan_duplicated", counter "faults.chan.duplicated");
-      ("chan_delayed", counter "faults.chan.delayed");
-      ("chan_reordered", counter "faults.chan.reordered");
-      ("switch_rejected", counter "faults.switch.rejected");
-      ("switch_straggled", counter "faults.switch.straggled");
-      ("switch_crashed", counter "faults.switch.crashed");
-      ("clock_skewed_flips", counter "faults.clock.skewed_flips");
-      ("exec_retries", counter "exec.retries");
-      ("exec_fallbacks", counter "exec.fallbacks");
-      ("transient_loops", counter "monitor.transient_loops");
-      ("blackhole_drops", counter "monitor.blackhole_drops");
-      ("overload_samples", counter "monitor.overload_samples");
-    ]
+    (counters_json
+       [
+         ("chan_lost", "faults.chan.lost");
+         ("chan_duplicated", "faults.chan.duplicated");
+         ("chan_delayed", "faults.chan.delayed");
+         ("chan_reordered", "faults.chan.reordered");
+         ("switch_rejected", "faults.switch.rejected");
+         ("switch_straggled", "faults.switch.straggled");
+         ("switch_crashed", "faults.switch.crashed");
+         ("clock_skewed_flips", "faults.clock.skewed_flips");
+         ("exec_retries", "exec.retries");
+         ("exec_fallbacks", "exec.fallbacks");
+         ("transient_loops", "monitor.transient_loops");
+         ("blackhole_drops", "monitor.blackhole_drops");
+         ("overload_samples", "monitor.overload_samples");
+       ])
 
-(* chronus-bench/5: the scale figure's rows — deterministic shape/size
-   columns plus the wall-measured throughput and lookup cost. The wall
-   columns vary run to run; they are reported here but never enter the
-   determinism digest. *)
-let scale_json suite =
-  match suite.fig_scale with
-  | None -> Json.Null
-  | Some rows ->
-      Json.Obj
-        (List.map
-           (fun (r : E.Fig_scale.row) ->
-             ( r.E.Fig_scale.topo,
-               Json.Obj
-                 [
-                   ("switches", Json.Int r.E.Fig_scale.switches);
-                   ("links", Json.Int r.E.Fig_scale.links);
-                   ("rules_exact", Json.Int r.E.Fig_scale.rules_exact);
-                   ("rules_compiled", Json.Int r.E.Fig_scale.rules_compiled);
-                   ("compression", Json.Float r.E.Fig_scale.compression);
-                   ("table_words", Json.Int r.E.Fig_scale.table_words);
-                   ("updates", Json.Int r.E.Fig_scale.updates);
-                   ("events", Json.Int r.E.Fig_scale.events);
-                   ("chronus_span_s", Json.Float r.E.Fig_scale.chronus_span_s);
-                   ("tp_span_s", Json.Float r.E.Fig_scale.tp_span_s);
-                   ("or_span_s", Json.Float r.E.Fig_scale.or_span_s);
-                   ("chronus_clean", Json.Bool r.E.Fig_scale.chronus_clean);
-                   ("events_per_s", Json.Float r.E.Fig_scale.events_per_s);
-                   ("lookup_ns", Json.Float r.E.Fig_scale.lookup_ns);
-                 ] ))
-           rows)
-
-(* chronus-bench/8: the prefix-compilation headline — address width and
-   per-fat-tree-cell compression, including the floor CI asserts. *)
-let prefix_json suite =
-  match suite.fig_scale with
-  | None -> Json.Null
-  | Some rows ->
-      let fat_tree =
-        List.filter
-          (fun (r : E.Fig_scale.row) ->
-            String.length r.E.Fig_scale.topo >= 8
-            && String.sub r.E.Fig_scale.topo 0 8 = "fat-tree")
-          rows
-      in
-      let min_compression =
-        List.fold_left
-          (fun acc (r : E.Fig_scale.row) ->
-            min acc r.E.Fig_scale.compression)
-          infinity fat_tree
-      in
-      Json.Obj
-        [
-          ("addr_bits", Json.Int Chronus_sim.Flow_table.addr_bits);
-          ( "cells",
-            Json.Obj
-              (List.map
-                 (fun (r : E.Fig_scale.row) ->
-                   ( r.E.Fig_scale.topo,
-                     Json.Obj
-                       [
-                         ("rules_exact", Json.Int r.E.Fig_scale.rules_exact);
-                         ( "rules_compiled",
-                           Json.Int r.E.Fig_scale.rules_compiled );
-                         ("compression", Json.Float r.E.Fig_scale.compression);
-                       ] ))
-                 fat_tree) );
-          ( "min_fat_tree_compression",
-            if fat_tree = [] then Json.Null else Json.Float min_compression );
-        ]
-
-(* chronus-bench/7: the update-service figure, one entry per offered
-   rate — deterministic admission/commit columns, derived denial and
-   serialization rates, the per-transaction from-scratch oracle
-   evaluation cost (checker-pool misses over committed transactions —
-   the admission pipeline's headline ratio, asserted < 1 in CI), and
-   the wall-measured throughput and latency percentiles. As with the
-   scale rows, the wall columns never enter the determinism digest;
-   neither does full_evals, which depends on pool timing. *)
-let service_json suite =
-  match suite.fig_service with
-  | None -> Json.Null
-  | Some rows ->
+(* chronus-bench/10: one object per figure that ran, keyed by its
+   canonical name — its jobs=1 wall clock, the digest of its stable rows,
+   and the figure's own report keys. *)
+let figures_json pass =
   Json.Obj
     (List.map
-       (fun (r : E.Fig_service.row) ->
-         let denial_rate =
-           if r.E.Fig_service.submitted > 0 then
-             Json.Float
-               (float_of_int r.E.Fig_service.denied
-               /. float_of_int r.E.Fig_service.submitted)
-           else Json.Null
-         in
-         ( Printf.sprintf "rate-%d" r.E.Fig_service.offered_per_round,
+       (fun (m : E.Figure.measured) ->
+         ( E.Figure.name m.figure,
            Json.Obj
-             [
-               ("rounds", Json.Int r.E.Fig_service.rounds);
-               ("flows", Json.Int r.E.Fig_service.flows);
-               ("submitted", Json.Int r.E.Fig_service.submitted);
-               ("committed", Json.Int r.E.Fig_service.committed);
-               ("serialized", Json.Int r.E.Fig_service.serialized);
-               ( "serialized_rate",
-                 Json.Float r.E.Fig_service.serialized_rate );
-               ("denied", Json.Int r.E.Fig_service.denied);
-               ("batches", Json.Int r.E.Fig_service.batches);
-               ("denial_rate", denial_rate);
-               ("full_evals", Json.Int r.E.Fig_service.full_evals);
-               ( "full_evals_per_txn",
-                 Json.Float r.E.Fig_service.full_evals_per_txn );
-               ("mean_makespan", Json.Float r.E.Fig_service.mean_makespan);
-               ("throughput_per_s", Json.Float r.E.Fig_service.throughput_per_s);
-               ("p50_ms", Json.Float r.E.Fig_service.p50_ms);
-               ("p99_ms", Json.Float r.E.Fig_service.p99_ms);
-             ] ))
-       rows)
-
-(* chronus-bench/9: the heavy-traffic figure — peak concurrent fibers
-   and virtual-time switch-RTT percentiles per session count. Every
-   column but wall_s is deterministic. *)
-let conns_json suite =
-  match suite.fig_conns with
-  | None -> Json.Null
-  | Some rows ->
-      Json.Obj
-        (List.map
-           (fun (r : E.Fig_conns.row) ->
-             ( Printf.sprintf "conns-%d" r.E.Fig_conns.conns,
-               Json.Obj
-                 [
-                   ("switches", Json.Int r.E.Fig_conns.switches);
-                   ("peak_fibers", Json.Int r.E.Fig_conns.peak_fibers);
-                   ("pings", Json.Int r.E.Fig_conns.pings);
-                   ("rtt_p50_ms", Json.Float r.E.Fig_conns.rtt_p50_ms);
-                   ("rtt_p99_ms", Json.Float r.E.Fig_conns.rtt_p99_ms);
-                   ("update_clean", Json.Bool r.E.Fig_conns.update_clean);
-                   ("update_span_s", Json.Float r.E.Fig_conns.update_span_s);
-                   ("events", Json.Int r.E.Fig_conns.events);
-                   ("wall_s", Json.Float r.E.Fig_conns.wall_s);
-                 ] ))
-           rows)
+             (("wall_s", Json.Float m.wall_s)
+             :: ("digest", Json.String m.digest)
+             :: m.json) ))
+       pass.figures)
 
 let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
   let experiments_json =
@@ -845,7 +552,7 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
         let base =
           [
             ("wall_s_jobs1", Json.Float seq.wall_s);
-            ("trial_wall_s_jobs1", Json.Float seq.trial_wall_s);
+            ("trial_wall_s_jobs1", Json.Float (trial_wall_s seq));
           ]
         in
         let parallel =
@@ -854,10 +561,10 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
           | Some p ->
               [
                 ("wall_s_jobsN", Json.Float p.wall_s);
-                ("trial_wall_s_jobsN", Json.Float p.trial_wall_s);
+                ("trial_wall_s_jobsN", Json.Float (trial_wall_s p));
                 ("speedup", speedup seq.wall_s p.wall_s);
-                ("trial_speedup", speedup seq.trial_wall_s p.trial_wall_s);
-                ("rows_identical", Json.Bool (digest seq = digest p));
+                ("trial_speedup", speedup (trial_wall_s seq) (trial_wall_s p));
+                ("rows_identical", Json.Bool (mismatches seq p = []));
               ]
         in
         Json.Obj (base @ parallel)
@@ -871,27 +578,15 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
   let doc =
     Json.Obj
       [
-        ("schema", Json.String "chronus-bench/9");
+        ("schema", Json.String "chronus-bench/10");
         ("scale", Json.String scale_name);
         ("jobs", Json.Int jobs);
         ("host_cores", Json.Int host_cores);
         ("experiments", experiments_json);
-        ( "scale_rows",
+        ( "figures",
           match experiments with
           | None -> Json.Null
-          | Some (seq, _) -> scale_json seq );
-        ( "prefix",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> prefix_json seq );
-        ( "service",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> service_json seq );
-        ( "conns",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> conns_json seq );
+          | Some (seq, _) -> figures_json seq );
         ("oracle_cache", oracle_cache_json ~micro);
         ("faults", faults_json ());
         ("metrics", metrics_json ());
@@ -905,11 +600,33 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
 
 (* ------------------------------------------------------------------ *)
 
+(* The value of --figures a,b,c or --figures=a,b,c, if given. *)
+let figures_arg () =
+  let prefix = "--figures=" in
+  let p = String.length prefix in
+  let rec scan = function
+    | [] -> None
+    | "--figures" :: v :: _ -> Some v
+    | a :: rest ->
+        if String.length a > p && String.sub a 0 p = prefix then
+          Some (String.sub a p (String.length a - p))
+        else scan rest
+  in
+  scan (Array.to_list Sys.argv)
+
 let () =
   let scale_name =
     Option.value ~default:"quick" (Sys.getenv_opt "CHRONUS_SCALE")
   in
-  let scale = E.Scale.parse scale_name in
+  let scale =
+    match List.assoc_opt scale_name E.Scale.presets with
+    | Some s -> s
+    | None ->
+        Printf.eprintf "unknown CHRONUS_SCALE %S; valid presets: %s\n%!"
+          scale_name
+          (String.concat ", " (List.map fst E.Scale.presets));
+        exit 2
+  in
   let jobs = Pool.default_jobs () in
   let part =
     match Sys.getenv_opt "CHRONUS_BENCH" with
@@ -925,56 +642,33 @@ let () =
     Array.exists (( = ) "--metrics") Sys.argv
     || Sys.getenv_opt "CHRONUS_METRICS" <> None
   in
-  (* --figures a,b,c (or --figures=a,b,c): run only those figures of the
-     experiment suite — the dev loop for a single figure without the
-     ~190 s full pass. *)
-  let figures_filter =
-    let args = Array.to_list Sys.argv in
-    let value =
-      let prefix = "--figures=" in
-      let rec scan = function
-        | [] -> None
-        | "--figures" :: v :: _ -> Some v
-        | a :: rest ->
-            if String.length a > String.length prefix
-               && String.sub a 0 (String.length prefix) = prefix
-            then
-              Some
-                (String.sub a (String.length prefix)
-                   (String.length a - String.length prefix))
-            else scan rest
-      in
-      scan args
-    in
-    match value with
-    | None -> None
+  (* --figures runs a subset of the suite (canonical names or aliases) —
+     the dev loop for a single figure without the full pass. *)
+  let figures =
+    match figures_arg () with
+    | None -> E.Figure.all
     | Some v ->
-        let names =
+        let wanted =
           String.split_on_char ',' v
           |> List.map String.trim
           |> List.filter (fun s -> s <> "")
+          |> List.map (fun n ->
+                 match E.Figure.find n with
+                 | Ok f -> E.Figure.name f
+                 | Error msg ->
+                     prerr_endline msg;
+                     exit 2)
         in
-        List.iter
-          (fun n ->
-            if not (List.mem n figure_names) then begin
-              Printf.eprintf "unknown figure %S; valid figures:\n  %s\n%!" n
-                (String.concat "\n  " figure_names);
-              exit 2
-            end)
-          names;
-        Some names
-  in
-  let want name =
-    match figures_filter with None -> true | Some l -> List.mem name l
+        List.filter (fun f -> List.mem (E.Figure.name f) wanted) E.Figure.all
   in
   let host_cores = Domain.recommended_domain_count () in
   let experiments =
     match part with
     | `Micro -> None
     | `All | `Experiments ->
-        let seq = run_suite ~jobs:1 ~want scale in
+        let seq = run_suite ~jobs:1 ~figures scale in
         let par =
-          if jobs > 1 then Some (run_suite ~jobs ~want scale) else None
+          if jobs > 1 then Some (run_suite ~jobs ~figures scale) else None
         in
         (* The two passes print identical rows; show the suite once. *)
         print_suite ~metrics (Option.value ~default:seq par);
@@ -982,16 +676,17 @@ let () =
           seq.wall_s;
         (match par with
         | None -> print_newline ()
-        | Some p ->
+        | Some p -> (
             Printf.printf ", %.2f s at jobs=%d (%.2fx; trial subset %.2fx)\n"
               p.wall_s jobs (seq.wall_s /. p.wall_s)
-              (seq.trial_wall_s /. p.trial_wall_s);
-            if digest seq <> digest p then begin
-              Printf.eprintf
-                "ERROR: sequential and parallel experiment rows differ\n%!";
-              exit 1
-            end
-            else print_endline "sequential and parallel rows are identical");
+              (trial_wall_s seq /. trial_wall_s p);
+            match mismatches seq p with
+            | [] -> print_endline "sequential and parallel rows are identical"
+            | names ->
+                Printf.eprintf
+                  "ERROR: sequential and parallel experiment rows differ: %s\n%!"
+                  (String.concat ", " names);
+                exit 1));
         if host_cores = 1 && par <> None then
           print_endline
             "note: speedup not meaningful: 1 physical core (jobs > 1 \

@@ -8,8 +8,16 @@ open Chronus_core
 module E = Chronus_experiments
 
 let scale_arg =
-  let doc = "Experiment scale preset: tiny, quick or paper." in
-  Arg.(value & opt string "quick" & info [ "scale" ] ~docv:"PRESET" ~doc)
+  let doc =
+    "Experiment scale preset: "
+    ^ Arg.doc_alts_enum E.Scale.presets
+    ^ ". The $(b,--topos), $(b,--rates) and $(b,--conns) flags override \
+       single axes of it."
+  in
+  Arg.(
+    value
+    & opt (enum E.Scale.presets) E.Scale.quick
+    & info [ "scale" ] ~docv:"PRESET" ~doc)
 
 let metrics_arg =
   let doc =
@@ -30,30 +38,31 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let generators =
+  let open Chronus_topo.Scenario in
+  [
+    ("fig1", fun ~rng:_ _ -> fig1_example ());
+    ("random-final", random_final);
+    ("reversal", fun ~rng spec -> segment_reversal ~rng spec);
+    ("shortcut", shortcut);
+    ("random-pair", random_pair);
+    ("mixed", mixed);
+  ]
+
+let generator_arg =
+  let doc = "Instance generator: " ^ Arg.doc_alts_enum generators ^ "." in
+  Arg.(
+    value
+    & opt (enum (List.map (fun (name, _) -> (name, name)) generators)) "fig1"
+    & info [ "generator" ] ~docv:"GEN" ~doc)
+
 let instance_of_generator ~gen ~n ~seed =
-  let rng = Chronus_topo.Rng.make seed in
-  let spec = Chronus_topo.Scenario.spec n in
-  match gen with
-  | "fig1" -> Chronus_topo.Scenario.fig1_example ()
-  | "random-final" -> Chronus_topo.Scenario.random_final ~rng spec
-  | "reversal" -> Chronus_topo.Scenario.segment_reversal ~rng spec
-  | "shortcut" -> Chronus_topo.Scenario.shortcut ~rng spec
-  | "random-pair" -> Chronus_topo.Scenario.random_pair ~rng spec
-  | "mixed" -> Chronus_topo.Scenario.mixed ~rng spec
-  | other ->
-      invalid_arg
-        (Printf.sprintf
-           "unknown generator %S (fig1, random-final, reversal, shortcut, \
-            random-pair, mixed)"
-           other)
+  (List.assoc gen generators)
+    ~rng:(Chronus_topo.Rng.make seed)
+    (Chronus_topo.Scenario.spec n)
 
 (* chronus schedule *)
 let schedule_cmd =
-  let gen =
-    Arg.(
-      value & opt string "fig1"
-      & info [ "generator" ] ~docv:"GEN" ~doc:"Instance generator.")
-  in
   let n =
     Arg.(
       value & opt int 10
@@ -90,120 +99,92 @@ let schedule_cmd =
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Compute a Chronus timed update schedule.")
-    Term.(const run $ gen $ n $ seed_arg)
+    Term.(const run $ generator_arg $ n $ seed_arg)
 
 (* chronus experiment *)
 let experiment_cmd =
+  (* Every canonical figure name and alias, resolved to the canonical
+     name, plus "all". *)
+  let choices =
+    ("all", "all")
+    :: List.concat_map
+         (fun f -> List.map (fun n -> (n, E.Figure.name f)) (E.Figure.names f))
+         E.Figure.all
+  in
   let which =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (enum choices)) None
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"One of: table2, fig6, fig7, fig8, fig9, fig10, fig11, robust, scale, service, conns, ablation, all.")
+          ~doc:("The figure to regenerate: " ^ Arg.doc_alts_enum choices ^ "."))
+  in
+  (* An axis override: a comma-separated list replacing one field of the
+     preset. *)
+  let axis elt name doc =
+    let docv = String.uppercase_ascii name in
+    Arg.(value & opt (some (list elt)) None & info [ name ] ~docv ~doc)
   in
   let conns_arg =
-    let doc =
+    axis Arg.int "conns"
       "Concurrent-session counts for the $(b,conns) experiment, e.g. \
        $(b,--conns 2000,10000). Default: the scale's session axis."
-    in
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "conns" ] ~docv:"CONNS" ~doc)
   in
   let rates_arg =
-    let doc =
+    axis Arg.int "rates"
       "Offered rates (requests per round) for the $(b,service) experiment, \
        e.g. $(b,--rates 1,16). Default: the scale's rate axis."
-    in
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "rates" ] ~docv:"RATES" ~doc)
   in
   let topos_arg =
-    let doc =
+    let topo =
+      Arg.conv'
+        ( E.Scale.topo_of_string,
+          fun ppf t -> Format.pp_print_string ppf (E.Scale.topo_to_string t) )
+    in
+    axis topo "topos"
       "Topology cells for the $(b,scale) experiment, e.g. \
        $(b,--topos fat16,b4,wan32) ($(b,fatK) is a k-ary fat-tree, \
        $(b,wanN) an N-site WAN). Default: the scale's cell list."
-    in
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "topos" ] ~docv:"TOPOS" ~doc)
   in
-  let parse_topo s =
-    let num prefix =
-      let p = String.length prefix in
-      if String.length s > p && String.sub s 0 p = prefix then
-        int_of_string_opt (String.sub s p (String.length s - p))
-      else None
+  (* The axis flags are record updates of the preset. *)
+  let scale =
+    let with_axes scale rates topos conns =
+      let ( |? ) o d = Option.value o ~default:d in
+      {
+        scale with
+        E.Scale.rates = rates |? scale.E.Scale.rates;
+        topos = topos |? scale.E.Scale.topos;
+        conns = conns |? scale.E.Scale.conns;
+      }
     in
-    match (s, num "fat", num "wan") with
-    | "b4", _, _ -> E.Fig_scale.B4
-    | _, Some k, _ -> E.Fig_scale.Fat_tree k
-    | _, _, Some n -> E.Fig_scale.Wan n
-    | _ ->
-        invalid_arg
-          (Printf.sprintf "unknown topology %S (expected fatK, b4 or wanN)" s)
+    Term.(const with_axes $ scale_arg $ rates_arg $ topos_arg $ conns_arg)
   in
-  let run which scale_name jobs metrics rates topos conns =
-    let module Obs = Chronus_obs.Obs in
-    let scale = E.Scale.parse scale_name in
-    let kinds = Option.map (List.map parse_topo) topos in
+  let run which scale jobs metrics =
     let jobs =
       match jobs with
       | Some j -> j
       | None -> Chronus_parallel.Pool.default_jobs ()
     in
-    let plain = function
-      | "table2" -> E.Table2.print (E.Table2.run ~jobs ())
-      | "fig6" -> E.Fig6.print (E.Fig6.run ())
-      | "fig7" -> E.Fig7.print (E.Fig7.run ~jobs ~scale ())
-      | "fig8" -> E.Fig8.print (E.Fig8.run ~jobs ~scale ())
-      | "fig9" -> E.Fig9.print (E.Fig9.run ~jobs ~scale ())
-      | "fig10" -> E.Fig10.print (E.Fig10.run ~jobs ~scale ())
-      | "fig11" -> E.Fig11.print (E.Fig11.run ~jobs ~scale ())
-      | "robust" -> E.Fig_robust.print (E.Fig_robust.run ~jobs ~scale ())
-      | "scale" -> E.Fig_scale.print (E.Fig_scale.run ~jobs ~scale ?kinds ())
-      | "service" ->
-          E.Fig_service.print (E.Fig_service.run ~jobs ~scale ?rates ())
-      | "conns" -> E.Fig_conns.print (E.Fig_conns.run ~jobs ~scale ?conns ())
-      | "ablation" -> E.Ablation.print (E.Ablation.run ~jobs ~scale ())
-      | other ->
-          invalid_arg (Printf.sprintf "unknown experiment %S" other)
+    let figures =
+      List.filter
+        (fun f -> which = "all" || E.Figure.name f = which)
+        E.Figure.all
     in
-    let dispatch which =
-      if not metrics then plain which
-      else begin
-        let before = Obs.snapshot () in
-        plain which;
-        match Obs.diff before (Obs.snapshot ()) with
-        | [] -> ()
-        | snap ->
-            Printf.printf "\n-- metrics (%s) --\n" which;
-            Obs.print_table snap
-      end
-    in
-    (match which with
-    | "all" ->
-        List.iter
-          (fun w ->
-            dispatch w;
-            print_newline ())
-          [
-            "table2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-            "robust"; "scale"; "service"; "conns"; "ablation";
-          ]
-    | w -> dispatch w);
+    List.iter
+      (fun f ->
+        let m = E.Figure.measure f ~jobs ~scale in
+        m.E.Figure.print ();
+        if metrics && m.E.Figure.metrics <> [] then begin
+          Printf.printf "\n-- metrics (%s) --\n" (E.Figure.name f);
+          Chronus_obs.Obs.print_table m.E.Figure.metrics
+        end;
+        if which = "all" then print_newline ())
+      figures;
     0
   in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate a table or figure of the paper's evaluation.")
-    Term.(
-      const run $ which $ scale_arg $ jobs_arg $ metrics_arg $ rates_arg
-      $ topos_arg $ conns_arg)
+    Term.(const run $ which $ scale $ jobs_arg $ metrics_arg)
 
 (* chronus demo *)
 let demo_cmd =
@@ -266,11 +247,6 @@ let demo_cmd =
 
 (* chronus render *)
 let render_cmd =
-  let gen =
-    Arg.(
-      value & opt string "fig1"
-      & info [ "generator" ] ~docv:"GEN" ~doc:"Instance generator.")
-  in
   let n =
     Arg.(
       value & opt int 10
@@ -312,7 +288,7 @@ let render_cmd =
        ~doc:
          "Write Graphviz files: the network with both routes (Fig. 1) and \
           the time-extended network carrying the scheduled flow (Fig. 2).")
-    Term.(const run $ gen $ n $ seed_arg $ out)
+    Term.(const run $ generator_arg $ n $ seed_arg $ out)
 
 (* chronus ilp *)
 let ilp_cmd =

@@ -59,13 +59,6 @@ let view base sched =
   if n > 0 then exit.(n - 1) <- Horizon.Never;
   { base; arrival; exit }
 
-let on_old_path base v = Hashtbl.mem base.index v
-
-let prefix_delay base v =
-  match Hashtbl.find_opt base.index v with
-  | None -> None
-  | Some k -> Some base.prefix.(k)
-
 let last_arrival view v =
   match Hashtbl.find_opt view.base.index v with
   | None -> Horizon.Never

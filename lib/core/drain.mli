@@ -25,11 +25,6 @@ type view
 val view : t -> Schedule.t -> view
 (** O(|p_init|). Queries on the view are O(1). *)
 
-val on_old_path : t -> Graph.node -> bool
-
-val prefix_delay : t -> Graph.node -> int option
-(** Delay from the source to the switch along [p_init]. *)
-
 val last_arrival : view -> Graph.node -> Horizon.t
 (** Until when do pure-old-path cohorts keep *arriving* at the switch?
     [Never] for switches off the initial path. The source receives

@@ -124,9 +124,8 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
   let live_walks () =
     Hashtbl.fold (fun _ w acc -> w :: acc) walk_tbl []
   in
-  (* The analytic verdict is exact for the checks it performs, so in Exact
-     mode it serves as a cheap pre-filter and only its Safe answers are
-     confirmed against the oracle. *)
+  (* Exact mode: probe the flip on the oracle's incremental checker and
+     report its first violation in the analytic verdict's vocabulary. *)
   let exact_check ck v =
     Obs.Counter.incr c_oracle;
     let report = Oracle.Checker.probe ck v !time in

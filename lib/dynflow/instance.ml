@@ -196,8 +196,6 @@ let create_multi ~graph flows =
 
 let flows m = m.m_flows
 
-let find_flow m fid = List.find_opt (fun f -> f.fid = fid) m.m_flows
-
 let flow_instance m f =
   create ~graph:m.m_graph ~demand:f.f_demand ~p_init:f.f_init ~p_fin:f.f_fin
 

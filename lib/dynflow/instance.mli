@@ -110,9 +110,6 @@ val create_multi : graph:Graph.t -> flow list -> multi
 val flows : multi -> flow list
 (** The flow set, sorted by [fid]. *)
 
-val find_flow : multi -> int -> flow option
-(** Look a flow up by [fid]. *)
-
 val flow_instance : multi -> flow -> t
 (** Project one flow onto a single-flow instance over the full-capacity
     shared graph — the form the schedulers and the oracle consume. Never

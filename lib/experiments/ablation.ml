@@ -15,8 +15,6 @@ type row = {
   mean_waits : float;
 }
 
-let name = "ablation-scheduler-engines"
-
 (* Everything one trial contributes to the aggregates: computed in
    parallel, folded in index order afterwards. *)
 type trial = {

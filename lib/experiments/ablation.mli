@@ -30,4 +30,3 @@ val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
     rows. *)
 
 val print : row list -> unit
-val name : string

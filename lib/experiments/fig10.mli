@@ -20,5 +20,8 @@ val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
     rows. *)
 
 val print : row list -> unit
-val name : string
+
+val stable : row list -> row list
+(** The rows with every (wall-measured) timing set to [Seconds 0.]. *)
+
 val timing_to_string : timing -> string

@@ -10,8 +10,6 @@ type result = {
   opt_median : float;
 }
 
-let name = "fig11-update-time-cdf"
-
 let run ?jobs ?(scale = Scale.quick) ?(switches = 40) () =
   let spec = Scenario.spec switches in
   let trials =

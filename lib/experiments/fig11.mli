@@ -18,4 +18,3 @@ val run : ?jobs:int -> ?scale:Scale.t -> ?switches:int -> unit -> result
     result. *)
 
 val print : result -> unit
-val name : string

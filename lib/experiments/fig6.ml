@@ -21,8 +21,6 @@ type result = {
   capacity_mbps : float;
 }
 
-let name = "fig6-bandwidth-consumption"
-
 (* The Mininet parameters of Section V-A: 5 Mbit/s links and flow, link
    delays 0.3–0.9 s (the paper draws 5 ms–1 s), second-granularity
    counters. OR additionally suffers the heavy-tailed rule-installation

@@ -25,4 +25,3 @@ type result = {
 
 val run : ?seed:int -> ?switches:int -> unit -> result
 val print : result -> unit
-val name : string

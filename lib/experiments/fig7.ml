@@ -8,8 +8,6 @@ type row = {
   or_congestion_pct : float;
 }
 
-let name = "fig7-congestion-cases"
-
 let pct bad total = 100. *. float_of_int bad /. float_of_int (max 1 total)
 
 let run ?jobs ?(scale = Scale.quick) () =

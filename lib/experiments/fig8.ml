@@ -8,8 +8,6 @@ type row = {
   reduction_pct : float;
 }
 
-let name = "fig8-congested-links"
-
 let run ?jobs ?(scale = Scale.quick) () =
   List.map
     (fun n ->

@@ -9,8 +9,6 @@ type row = {
   saving_pct : float;
 }
 
-let name = "fig9-forwarding-rules"
-
 let run ?jobs ?(scale = Scale.quick) () =
   List.map
     (fun n ->

@@ -18,4 +18,3 @@ val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
     rows. *)
 
 val print : row list -> unit
-val name : string

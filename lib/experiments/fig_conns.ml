@@ -25,8 +25,6 @@ type row = {
   wall_s : float;
 }
 
-let name = "fig-conns"
-
 (* An echo destination no flow table holds: the [Remove] is a no-op on
    the switch's rules, but the command and its ack ride the full
    controller -> switch -> controller channel — a session ping. *)
@@ -126,18 +124,11 @@ let run_cell ~seed ~k conns =
     wall_s = float_of_int (Obs.clock_ns () - wall0) /. 1e9;
   }
 
-(* Tiny keeps CI honest on an 80-switch fat-tree; quick holds the
-   ISSUE's ten thousand sessions on k=16; paper pushes to forty
-   thousand. *)
-let default_conns scale =
-  if scale.Scale.instances <= 4 then [ 500; 2_000 ]
-  else if scale.Scale.instances <= 10 then [ 2_000; 10_000 ]
-  else [ 10_000; 40_000 ]
-
+(* Tiny keeps CI fast on an 80-switch fat-tree; the session counts of
+   [scale.conns] run on k=16 otherwise. *)
 let fat_tree_k scale = if scale.Scale.instances <= 4 then 8 else 16
 
-let run ?jobs ?(scale = Scale.quick) ?conns () =
-  let conns = Option.value ~default:(default_conns scale) conns in
+let run ?jobs ?(scale = Scale.quick) () =
   let seed = scale.Scale.seed in
   let k = fat_tree_k scale in
   (* One cell per connection count; RNG lanes are keyed by (k, conns),
@@ -145,7 +136,32 @@ let run ?jobs ?(scale = Scale.quick) ?conns () =
      mix. *)
   Chronus_parallel.Pool.parallel_map ?jobs
     (fun n -> run_cell ~seed ~k n)
-    conns
+    scale.Scale.conns
+
+let stable rows = List.map (fun r -> { r with wall_s = 0. }) rows
+
+let json rows =
+  let open Chronus_obs.Json in
+  [
+    ( "rows",
+      Obj
+        (List.map
+           (fun r ->
+             ( Printf.sprintf "conns-%d" r.conns,
+               Obj
+                 [
+                   ("switches", Int r.switches);
+                   ("peak_fibers", Int r.peak_fibers);
+                   ("pings", Int r.pings);
+                   ("rtt_p50_ms", Float r.rtt_p50_ms);
+                   ("rtt_p99_ms", Float r.rtt_p99_ms);
+                   ("update_clean", Bool r.update_clean);
+                   ("update_span_s", Float r.update_span_s);
+                   ("events", Int r.events);
+                   ("wall_s", Float r.wall_s);
+                 ] ))
+           rows) );
+  ]
 
 let print rows =
   let open Chronus_stats in

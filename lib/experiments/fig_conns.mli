@@ -30,15 +30,17 @@ type row = {
           timed path, and the monitor saw no violations *)
   update_span_s : float;
   events : int;  (** engine events over the whole run *)
-  wall_s : float;  (** wall-clock cell time (excluded from digests) *)
+  wall_s : float;  (** wall-clock cell time (zeroed by {!stable}) *)
 }
 
-val name : string
-
-val default_conns : Scale.t -> int list
-(** Tiny: 500 and 2,000 sessions; quick: 2,000 and 10,000; paper:
-    10,000 and 40,000. *)
-
-val run : ?jobs:int -> ?scale:Scale.t -> ?conns:int list -> unit -> row list
+val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
+(** One row per session count of [scale.conns] (tiny: 500 and 2,000;
+    quick: 2,000 and 10,000; paper: 10,000 and 40,000). *)
 
 val print : row list -> unit
+
+val stable : row list -> row list
+(** The rows with [wall_s] zeroed. *)
+
+val json : row list -> (string * Chronus_obs.Json.t) list
+(** [rows]: every column, keyed [conns-N]. *)

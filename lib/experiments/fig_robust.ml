@@ -16,8 +16,6 @@ type row = {
   or_span_s : float;
 }
 
-let name = "fig-robust-clock-error"
-
 (* Short warmup/drain: the robustness axis multiplies three executors by
    several error magnitudes by many trials, so each run is kept tight.
    One delay unit is 50 ms — the "error = one delay unit" acceptance
@@ -64,11 +62,8 @@ type cell = {
 let violated (r : Exec_env.result) =
   not (Monitor.no_violations r.Exec_env.violations)
 
-let default_errors_ms scale =
-  if scale.Scale.instances <= 4 then [ 0; 50 ] else [ 0; 10; 25; 50; 100 ]
-
-let run ?jobs ?(scale = Scale.quick) ?(switches = 10) ?errors_ms () =
-  let errors = Option.value ~default:(default_errors_ms scale) errors_ms in
+let run ?jobs ?(scale = Scale.quick) ?(switches = 10) () =
+  let errors = scale.Scale.clock_errors_ms in
   let n_err = List.length errors in
   let trials = scale.Scale.instances in
   let seed = scale.Scale.seed in

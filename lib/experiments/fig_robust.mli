@@ -30,16 +30,7 @@ type row = {
   or_span_s : float;
 }
 
-val name : string
-
-val run :
-  ?jobs:int ->
-  ?scale:Scale.t ->
-  ?switches:int ->
-  ?errors_ms:int list ->
-  unit ->
-  row list
-(** [errors_ms] defaults to [[0; 50]] at tiny scale and
-    [[0; 10; 25; 50; 100]] otherwise (the delay unit is 50 ms). *)
+val run : ?jobs:int -> ?scale:Scale.t -> ?switches:int -> unit -> row list
+(** One row per [scale.clock_errors_ms] (the delay unit is 50 ms). *)
 
 val print : row list -> unit

@@ -9,10 +9,10 @@ module Obs = Chronus_obs.Obs
    (k = 4..32) and B4-like WANs — with compiled-prefix base forwarding,
    and report table compression, simulator throughput, per-lookup cost,
    and end-to-end update time versus topology size. Wall-clock fields
-   are measured, so this figure (like fig10) stays out of the benchmark
-   digest; the event/rule/span columns are deterministic. *)
+   are measured, so [stable] zeroes them before the benchmark digest;
+   the event/rule/span columns are deterministic. *)
 
-type kind = Fat_tree of int | B4 | Wan of int
+type kind = Scale.topo = Fat_tree of int | B4 | Wan of int
 
 type row = {
   topo : string;
@@ -31,8 +31,6 @@ type row = {
   events_per_s : float;
   lookup_ns : float;
 }
-
-let name = "fig-scale"
 
 (* Background forwarding state: every holder switch hosts this many
    addressable endpoints; an exact-per-destination scheme would install
@@ -258,23 +256,70 @@ let run_cell ~seed kind =
     lookup_ns;
   }
 
-let default_kinds scale =
-  if scale.Scale.instances <= 4 then [ Fat_tree 4; Wan 8 ]
-  else if scale.Scale.instances <= 10 then
-    [ Fat_tree 4; Fat_tree 6; Fat_tree 8; Fat_tree 16; B4; Wan 16; Wan 32 ]
-  else
-    [
-      Fat_tree 4; Fat_tree 8; Fat_tree 12; Fat_tree 16; Fat_tree 32; B4;
-      Wan 32; Wan 64; Wan 128;
-    ]
-
-let run ?jobs ?(scale = Scale.quick) ?kinds () =
-  let kinds = Option.value ~default:(default_kinds scale) kinds in
+let run ?jobs ?(scale = Scale.quick) () =
   let seed = scale.Scale.seed in
   (* One cell per topology; each owns RNG coordinates keyed by the
      kind's value, so rows are bit-identical at any job count and under
      any cell mix (wall-clock columns excepted, by nature). *)
-  Chronus_parallel.Pool.parallel_map ?jobs (fun kind -> run_cell ~seed kind) kinds
+  Chronus_parallel.Pool.parallel_map ?jobs
+    (fun kind -> run_cell ~seed kind)
+    scale.Scale.topos
+
+let stable rows =
+  List.map (fun r -> { r with events_per_s = 0.; lookup_ns = 0. }) rows
+
+let json rows =
+  let open Chronus_obs.Json in
+  let cell r fields = (r.topo, Obj fields) in
+  let fat_tree =
+    List.filter (fun r -> String.starts_with ~prefix:"fat-tree" r.topo) rows
+  in
+  [
+    ( "rows",
+      Obj
+        (List.map
+           (fun r ->
+             cell r
+               [
+                 ("switches", Int r.switches);
+                 ("links", Int r.links);
+                 ("rules_exact", Int r.rules_exact);
+                 ("rules_compiled", Int r.rules_compiled);
+                 ("compression", Float r.compression);
+                 ("table_words", Int r.table_words);
+                 ("updates", Int r.updates);
+                 ("events", Int r.events);
+                 ("chronus_span_s", Float r.chronus_span_s);
+                 ("tp_span_s", Float r.tp_span_s);
+                 ("or_span_s", Float r.or_span_s);
+                 ("chronus_clean", Bool r.chronus_clean);
+                 ("events_per_s", Float r.events_per_s);
+                 ("lookup_ns", Float r.lookup_ns);
+               ])
+           rows) );
+    ( "prefix",
+      Obj
+        [
+          ("addr_bits", Int Flow_table.addr_bits);
+          ( "cells",
+            Obj
+              (List.map
+                 (fun r ->
+                   cell r
+                     [
+                       ("rules_exact", Int r.rules_exact);
+                       ("rules_compiled", Int r.rules_compiled);
+                       ("compression", Float r.compression);
+                     ])
+                 fat_tree) );
+          ( "min_fat_tree_compression",
+            if fat_tree = [] then Null
+            else
+              Float
+                (List.fold_left (fun acc r -> min acc r.compression) infinity
+                   fat_tree) );
+        ] );
+  ]
 
 let print rows =
   let open Chronus_stats in

@@ -15,10 +15,9 @@
     table words, event counts and update spans are deterministic (cells
     derive their RNGs from the kind's value, so rows are bit-identical
     at any [CHRONUS_JOBS]); events/s and lookup ns are wall-clock
-    measurements, which is why this figure — like fig10 — is excluded
-    from the benchmark digest. *)
+    measurements, which {!stable} zeroes before the benchmark digest. *)
 
-type kind = Fat_tree of int | B4 | Wan of int
+type kind = Scale.topo = Fat_tree of int | B4 | Wan of int
 
 type row = {
   topo : string;
@@ -39,8 +38,6 @@ type row = {
   lookup_ns : float;  (** wall-measured per-lookup cost on loaded tables *)
 }
 
-val name : string
-
 val addressing : Chronus_graph.Graph.t -> kind -> Chronus_topo.Addressing.t
 (** The address layout a cell uses: hierarchical pod/edge/host on
     fat-trees, flat site/host on B4 and WANs. *)
@@ -55,10 +52,16 @@ val compiled_preinstall :
     count). Exposed so tests can walk the exact tables the figure
     runs on. *)
 
-val default_kinds : Scale.t -> kind list
-(** Tiny: [k=4] fat-tree and an 8-site WAN; quick adds [k=6,8,16], B4
-    and bigger WANs; paper scales to [k=32] and 128 sites. *)
-
-val run : ?jobs:int -> ?scale:Scale.t -> ?kinds:kind list -> unit -> row list
+val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
+(** One row per cell of [scale.topos]. *)
 
 val print : row list -> unit
+
+val stable : row list -> row list
+(** The rows with the wall-measured [events_per_s] and [lookup_ns]
+    zeroed. *)
+
+val json : row list -> (string * Chronus_obs.Json.t) list
+(** [rows] (every column, keyed by topology label) and [prefix]: the
+    address width and each fat-tree cell's compression, with the
+    minimum CI asserts. *)

@@ -9,8 +9,9 @@ module Obs = Chronus_obs.Obs
    serialization counts plus throughput and latency percentiles versus
    the offered rate (requests per processing round). The count and
    makespan columns are deterministic at any job count; the wall-clock
-   columns (throughput, p50/p99 latency) are measured, so this figure
-   stays out of the benchmark digest like fig10 and fig-scale. *)
+   columns (throughput, p50/p99 latency) are measured, so [stable]
+   zeroes them, with the pool-timing-dependent oracle counts, before the
+   benchmark digest. *)
 
 type row = {
   offered_per_round : int;
@@ -36,8 +37,6 @@ type row = {
 (* The oracle's own counter (the registry is label-keyed and idempotent,
    so this is the same cell lib/dynflow increments). *)
 let c_oracle_full = Obs.Counter.v "oracle.full_evals"
-
-let name = "fig-service"
 
 (* Shared-WAN workload: [n_flows] unit-demand flows on min-hop routes,
    drawn so the joint initial configuration is valid. Capacity 3 per
@@ -90,15 +89,11 @@ let request_for ~rng g current =
       | Some p -> p
       | None -> current)
 
-let default_rates scale =
-  if scale.Scale.instances <= 4 then [ 1; 4 ] else [ 1; 2; 4; 8; 16 ]
-
-let run ?jobs ?(scale = Scale.quick) ?rates () =
+let run ?jobs ?(scale = Scale.quick) () =
   let tiny = scale.Scale.instances <= 4 in
   let wan_n = if tiny then 12 else 32 in
   let n_flows = if tiny then 6 else 16 in
   let rounds = if tiny then 3 else max 4 (scale.Scale.instances / 2) in
-  let rates = Option.value ~default:(default_rates scale) rates in
   let seed = scale.Scale.seed in
   (* Every row owns the generators at coordinates keyed by the rate
      *value*, so adding rates to the axis never perturbs existing rows;
@@ -190,7 +185,52 @@ let run ?jobs ?(scale = Scale.quick) ?rates () =
         p50_ms = pct 50.;
         p99_ms = pct 99.;
       })
-    rates
+    scale.Scale.rates
+
+let stable rows =
+  List.map
+    (fun r ->
+      {
+        r with
+        full_evals = 0;
+        full_evals_per_txn = 0.;
+        throughput_per_s = 0.;
+        p50_ms = 0.;
+        p99_ms = 0.;
+      })
+    rows
+
+let json rows =
+  let open Chronus_obs.Json in
+  [
+    ( "rows",
+      Obj
+        (List.map
+           (fun r ->
+             ( Printf.sprintf "rate-%d" r.offered_per_round,
+               Obj
+                 [
+                   ("rounds", Int r.rounds);
+                   ("flows", Int r.flows);
+                   ("submitted", Int r.submitted);
+                   ("committed", Int r.committed);
+                   ("serialized", Int r.serialized);
+                   ("serialized_rate", Float r.serialized_rate);
+                   ("denied", Int r.denied);
+                   ("batches", Int r.batches);
+                   ( "denial_rate",
+                     if r.submitted > 0 then
+                       Float (float_of_int r.denied /. float_of_int r.submitted)
+                     else Null );
+                   ("full_evals", Int r.full_evals);
+                   ("full_evals_per_txn", Float r.full_evals_per_txn);
+                   ("mean_makespan", Float r.mean_makespan);
+                   ("throughput_per_s", Float r.throughput_per_s);
+                   ("p50_ms", Float r.p50_ms);
+                   ("p99_ms", Float r.p99_ms);
+                 ] ))
+           rows) );
+  ]
 
 let print rows =
   let open Chronus_stats in

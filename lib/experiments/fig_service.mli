@@ -14,9 +14,8 @@
     {e value} and round index, and the service itself is deterministic
     at any job count, so every column except the wall-clock ones
     (throughput, p50/p99 latency) is bit-identical at any
-    [CHRONUS_JOBS] — [test/suite_service.ml] asserts this, and the
-    bench report (EXPERIMENTS.md) excludes this figure from the
-    determinism digest exactly like the other wall-measured figures. *)
+    [CHRONUS_JOBS]; {!stable} zeroes the rest before the determinism
+    digest. *)
 
 type row = {
   offered_per_round : int;  (** the x-axis: requests submitted per round *)
@@ -45,12 +44,17 @@ type row = {
   p99_ms : float;
 }
 
-val name : string
-
-val run :
-  ?jobs:int -> ?scale:Scale.t -> ?rates:int list -> unit -> row list
-(** [rates] defaults to [[1; 4]] at tiny scale and [[1; 2; 4; 8; 16]]
-    otherwise. The WAN has 12 sites and 6 flows at tiny scale, 32 sites
-    and 16 flows otherwise; rounds scale with [scale.instances]. *)
+val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
+(** One row per rate of [scale.rates]. The WAN has 12 sites and 6 flows
+    at tiny scale, 32 sites and 16 flows otherwise; rounds scale with
+    [scale.instances]. *)
 
 val print : row list -> unit
+
+val stable : row list -> row list
+(** The rows with the wall-clock columns, [full_evals] and
+    [full_evals_per_txn] zeroed. *)
+
+val json : row list -> (string * Chronus_obs.Json.t) list
+(** [rows]: every column plus the derived [denial_rate], keyed
+    [rate-R]. *)

@@ -10,8 +10,6 @@ type result = {
   destination_during : string;
 }
 
-let name = "table2-flow-tables"
-
 (* The 12-switch emulation topology: R1 is the source, R12 the
    destination, and the update reverses the middle of the route. *)
 let instance () =

@@ -12,4 +12,3 @@ type result = {
 
 val run : ?jobs:int -> unit -> result
 val print : result -> unit
-val name : string

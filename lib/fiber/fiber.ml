@@ -99,7 +99,6 @@ and 'a waiter = { w_fired : bool ref; w_deliver : 'a -> unit }
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Now : time Effect.t
-  | Self_runtime : runtime Effect.t
   | Spawn : (unit -> 'a) -> 'a t Effect.t
   | Wait : 'a t -> ('a, exn) result Effect.t
   | Wait_until : time * 'a t -> ('a, exn) result option Effect.t
@@ -188,7 +187,6 @@ and handle :
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
           else enqueue rt fb.fid (fun () -> resume fb k ()))
   | Now -> Some (fun k -> Effect.Deep.continue k (rt.rt_now ()))
-  | Self_runtime -> Some (fun k -> Effect.Deep.continue k rt)
   | Spawn body ->
       Some
         (fun k ->
@@ -320,7 +318,6 @@ let spawn_root rt body = spawn_on rt None body
 let spawn body = Effect.perform (Spawn body)
 let yield () = Effect.perform Yield
 let now () = Effect.perform Now
-let self_runtime () = Effect.perform Self_runtime
 let id fb = fb.fid
 let wait fb = Effect.perform (Wait fb)
 let join fb = match wait fb with Ok v -> v | Error e -> raise e

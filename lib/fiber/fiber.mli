@@ -92,9 +92,6 @@ val yield : unit -> unit
 val now : unit -> time
 (** The event loop's virtual clock. *)
 
-val self_runtime : unit -> runtime
-(** The runtime executing the calling fiber. *)
-
 val id : 'a t -> int
 (** Spawn-order id, unique per runtime — the scheduling key. *)
 

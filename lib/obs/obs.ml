@@ -57,44 +57,18 @@ type sink = { oc : out_channel; mutex : Mutex.t; file : string }
 
 let sink : sink option Atomic.t = Atomic.make None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-type field = Int of int | Float of float | String of string | Bool of bool
-
 let emit_record s ~kind ~label fields =
   let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"ts\": %d, \"domain\": %d, \"kind\": \"%s\", \"label\": \"%s\", \"fields\": {"
-       (clock_ns () - start_ns)
-       (Domain.self () :> int)
-       kind (json_escape label));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": " (json_escape k));
-      match v with
-      | Int n -> Buffer.add_string b (string_of_int n)
-      | Float f ->
-          if Float.is_nan f || Float.abs f = Float.infinity then
-            Buffer.add_string b "null"
-          else Buffer.add_string b (Printf.sprintf "%.6g" f)
-      | String s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s))
-      | Bool v -> Buffer.add_string b (string_of_bool v))
-    fields;
-  Buffer.add_string b "}}\n";
+  Json.add_line b
+    (Json.Obj
+       [
+         ("ts", Json.Int (clock_ns () - start_ns));
+         ("domain", Json.Int (Domain.self () :> int));
+         ("kind", Json.String kind);
+         ("label", Json.String label);
+         ("fields", Json.Obj fields);
+       ]);
+  Buffer.add_char b '\n';
   Mutex.lock s.mutex;
   Buffer.output_buffer s.oc b;
   Mutex.unlock s.mutex
@@ -136,7 +110,7 @@ end
 module Span = struct
   type t = { label : string; cell : span_cell }
 
-  type stat = { count : int; total_ns : int; max_ns : int }
+  type stat = { count : int; total_ns : int; max_ns : int option }
 
   let v label =
     let cell =
@@ -157,7 +131,7 @@ module Span = struct
     ignore (Atomic.fetch_and_add t.cell.s_total dur_ns);
     atomic_max t.cell.s_max dur_ns;
     if trace_enabled () then
-      trace ~kind:"span" ~label:t.label [ ("dur_ns", Int dur_ns) ]
+      trace ~kind:"span" ~label:t.label [ ("dur_ns", Json.Int dur_ns) ]
 
   let with_h t f =
     let t0 = clock_ns () in
@@ -176,14 +150,20 @@ module Span = struct
     {
       count = Atomic.get t.cell.s_count;
       total_ns = Atomic.get t.cell.s_total;
-      max_ns = Atomic.get t.cell.s_max;
+      max_ns = Some (Atomic.get t.cell.s_max);
     }
 end
 
 module Point = struct
   type t = string
 
-  type nonrec field = field = Int of int | Float of float | String of string | Bool of bool
+  type field = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | Obj of (string * field) list
 
   let v label =
     register label (fun () -> Cpoint) (function Cpoint -> Some label | _ -> None)
@@ -216,7 +196,10 @@ module Trace = struct
         let s = { oc = open_out file; mutex = Mutex.create (); file } in
         Atomic.set sink (Some s);
         emit_record s ~kind:"meta" ~label:p_trace_start
-          [ ("schema", String "chronus-trace/1"); ("clock", String "monotonic") ]
+          [
+            ("schema", Json.String "chronus-trace/1");
+            ("clock", Json.String "monotonic");
+          ]
 
   let path () =
     match Atomic.get sink with None -> None | Some s -> Some s.file
@@ -256,7 +239,7 @@ let snapshot () =
               {
                 Span.count = Atomic.get c.s_count;
                 total_ns = Atomic.get c.s_total;
-                max_ns = Atomic.get c.s_max;
+                max_ns = Some (Atomic.get c.s_max);
               } )
           :: acc
       | Cpoint -> acc)
@@ -274,14 +257,20 @@ let diff before after =
       | Some (Gauge b), Gauge a -> if a > b then Some (label, Gauge a) else None
       | Some (Span b), Span a ->
           if a.Span.count > b.Span.count then
+            let total_ns = a.Span.total_ns - b.Span.total_ns in
+            (* The cells keep a process-wide max: it describes this window
+               only if it grew here (and so is one of the window's own
+               observations, hence at most its total). *)
+            let max_ns =
+              match (a.Span.max_ns, b.Span.max_ns) with
+              | Some m, Some m0 when m > m0 && m <= total_ns -> Some m
+              | _ -> None
+            in
             Some
               ( label,
                 Span
-                  {
-                    Span.count = a.Span.count - b.Span.count;
-                    total_ns = a.Span.total_ns - b.Span.total_ns;
-                    max_ns = a.Span.max_ns;
-                  } )
+                  { Span.count = a.Span.count - b.Span.count; total_ns; max_ns }
+              )
           else None
       | Some _, v ->
           (* A label cannot change kind; keep the after value defensively. *)
@@ -333,6 +322,7 @@ let print_table snap =
         | Gauge n -> Printf.printf "%-32s %-8s %d\n" label "gauge" n
         | Span s ->
             Printf.printf "%-32s %-8s count=%d total=%s max=%s\n" label "span"
-              s.Span.count (human_ns s.Span.total_ns) (human_ns s.Span.max_ns))
+              s.Span.count (human_ns s.Span.total_ns)
+              (match s.Span.max_ns with Some m -> human_ns m | None -> "n/a"))
       snap
   end

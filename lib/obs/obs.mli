@@ -68,7 +68,9 @@ end
 module Span : sig
   type t
 
-  type stat = { count : int; total_ns : int; max_ns : int }
+  type stat = { count : int; total_ns : int; max_ns : int option }
+  (** [max_ns] is always known for a live cell; it is [None] only in a
+      {!diff} window that cannot bound it (see there). *)
 
   val v : string -> t
   (** Same registration contract as {!Counter.v}. *)
@@ -95,7 +97,13 @@ end
 module Point : sig
   type t
 
-  type field = Int of int | Float of float | String of string | Bool of bool
+  type field = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | String of string
+    | Obj of (string * field) list
 
   val v : string -> t
   (** Same registration contract as {!Counter.v}. *)
@@ -145,7 +153,13 @@ val diff : snapshot -> snapshot -> snapshot
     label-wise and drops labels that saw no activity — the per-figure
     tables of [bench/main.exe --metrics] are produced this way. Gauges
     are high-water marks, not rates: a gauge appears in the diff with
-    [after]'s value whenever it grew. *)
+    [after]'s value whenever it grew.
+
+    A span's count and total are exact for the window. Its cells only
+    keep a process-wide max, so the window's [max_ns] is [after]'s max
+    when that max grew inside the window (it is then one of the
+    window's own observations), and [None] — printed [max=n/a] —
+    otherwise. A reported max never exceeds the window's total. *)
 
 val all_labels : unit -> (string * [ `Counter | `Gauge | `Span | `Point ]) list
 (** Every label registered so far (including trace-only points),

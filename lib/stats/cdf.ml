@@ -46,12 +46,3 @@ let points t =
     end
   in
   build (n - 1) []
-
-let pp_series ?(steps = 20) ppf t =
-  let lo = t.sorted.(0) and hi = t.sorted.(size t - 1) in
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to steps do
-    let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int steps) in
-    Format.fprintf ppf "%10.3f  %6.3f@," x (eval t x)
-  done;
-  Format.fprintf ppf "@]"

@@ -20,5 +20,3 @@ val points : t -> (float * float) list
 
 val size : t -> int
 
-val pp_series : ?steps:int -> Format.formatter -> t -> unit
-(** Render as a fixed number of (x, F) rows for plotting (default 20). *)

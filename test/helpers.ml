@@ -3,6 +3,11 @@
 open Chronus_graph
 open Chronus_flow
 
+(* A value digest that depends on values only, not on which subterms
+   happen to be physically shared. *)
+let dig v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 let graph_of edges =
   let g = Graph.create () in
   List.iter

@@ -262,13 +262,14 @@ let test_retry_recovers_without_fallback () =
 (* The robustness experiment.                                          *)
 
 let robust_scale =
-  { Chronus_experiments.Scale.tiny with Chronus_experiments.Scale.instances = 20 }
+  {
+    Chronus_experiments.Scale.tiny with
+    Chronus_experiments.Scale.instances = 20;
+    clock_errors_ms = [ 0; 50 ];
+  }
 
 let test_fig_robust () =
-  let rows =
-    Chronus_experiments.Fig_robust.run ~scale:robust_scale
-      ~errors_ms:[ 0; 50 ] ()
-  in
+  let rows = Chronus_experiments.Fig_robust.run ~scale:robust_scale () in
   Alcotest.(check int) "one row per magnitude" 2 (List.length rows);
   let at e =
     List.find
@@ -288,8 +289,7 @@ let test_fig_robust () =
 
 let test_fig_robust_rows_identical_across_jobs () =
   let run jobs =
-    Chronus_experiments.Fig_robust.run ~jobs ~scale:robust_scale
-      ~errors_ms:[ 0; 50 ] ()
+    Chronus_experiments.Fig_robust.run ~jobs ~scale:robust_scale ()
   in
   Alcotest.(check bool) "jobs=1 and jobs=4 rows bit-identical" true
     (run 1 = run 4)

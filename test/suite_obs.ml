@@ -209,13 +209,47 @@ let test_span_nesting () =
     (so.Obs.Span.total_ns >= si.Obs.Span.total_ns);
   Alcotest.(check bool)
     "max bounded by total" true
-    (so.Obs.Span.max_ns <= so.Obs.Span.total_ns);
+    (match so.Obs.Span.max_ns with
+    | Some m -> m <= so.Obs.Span.total_ns
+    | None -> false);
   (* A raising body is still recorded, and the exception survives. *)
   Alcotest.check_raises "exception re-raised" (Failure "boom") (fun () ->
       Obs.Span.with_ "test.obs.raise" (fun () -> failwith "boom"));
   Alcotest.(check int)
     "raising span recorded" 1
     (Obs.Span.stat (Obs.Span.v "test.obs.raise")).Obs.Span.count
+
+(* A diff window reports a span's max only when it grew inside the
+   window: a slow span in an earlier window must not leak into a later
+   one, and a reported max never exceeds the window's total. *)
+let test_windowed_max () =
+  let label = "test.obs.window" in
+  let span = Obs.Span.v label in
+  let window f =
+    let before = Obs.snapshot () in
+    f ();
+    match List.assoc_opt label (Obs.diff before (Obs.snapshot ())) with
+    | Some (Obs.Span s) -> s
+    | _ -> Alcotest.fail "span missing from its window"
+  in
+  let busy ns =
+    let t0 = Obs.clock_ns () in
+    while Obs.clock_ns () - t0 < ns do
+      ()
+    done
+  in
+  let slow = window (fun () -> Obs.Span.with_h span (fun () -> busy 5_000_000)) in
+  let fast = window (fun () -> Obs.Span.with_h span (fun () -> ())) in
+  Alcotest.(check (option int))
+    "one observation: max = total" (Some slow.Obs.Span.total_ns)
+    slow.Obs.Span.max_ns;
+  Alcotest.(check bool)
+    "later window's max never exceeds its total" true
+    (match fast.Obs.Span.max_ns with
+    | Some m -> m <= fast.Obs.Span.total_ns
+    | None -> true);
+  Alcotest.(check (option int))
+    "max that did not grow is unknown" None fast.Obs.Span.max_ns
 
 (* The fingerprint of an experiment's rows must not depend on whether the
    trace sink is open: metrics observe, never branch. *)
@@ -371,6 +405,7 @@ let suite =
       Alcotest.test_case "gauge high-water" `Quick test_gauge_high_water;
       Alcotest.test_case "label kind clash refused" `Quick test_kind_clash;
       Alcotest.test_case "span nesting" `Quick test_span_nesting;
+      Alcotest.test_case "diff window max" `Quick test_windowed_max;
       Alcotest.test_case "trace on/off row parity" `Slow test_trace_parity;
       Alcotest.test_case "trace schema" `Quick test_trace_schema;
       Alcotest.test_case "labels documented" `Quick test_labels_documented;
