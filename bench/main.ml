@@ -97,15 +97,30 @@ let greedy_tests =
              ignore (Greedy.schedule ~mode:Greedy.Analytic inst))))
     [ 50; 200; 800 ]
 
+(* The first n = 24 [Scenario.random_final] instance (default capacities
+   [1; 2; 2]) on which the Exact greedy finds no congestion-free schedule:
+   the shape behind most of a request-level planning run's time, where
+   Analytic's validation misses and the oracle-gated greedy probes until
+   it proves itself stuck. *)
+let congested_instance n =
+  let rec search seed =
+    let inst = Scenario.random_final ~rng:(Rng.make seed) (Scenario.spec n) in
+    match Greedy.schedule ~mode:Greedy.Exact inst with
+    | Greedy.Infeasible _ -> inst
+    | Greedy.Scheduled _ -> search (seed + 1)
+  in
+  search (2000 + n)
+
 let greedy_exact_tests =
+  let exact name inst =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Greedy.schedule ~mode:Greedy.Exact inst)))
+  in
   List.map
-    (fun n ->
-      let inst = instance_of_size n in
-      Test.make
-        ~name:(Printf.sprintf "greedy-exact/%d" n)
-        (Staged.stage (fun () ->
-             ignore (Greedy.schedule ~mode:Greedy.Exact inst))))
+    (fun n -> exact (Printf.sprintf "greedy-exact/%d" n) (instance_of_size n))
     [ 20; 60 ]
+  @ [ exact "greedy-exact/congested-24" (congested_instance 24) ]
 
 let primitive_tests =
   let inst = instance_of_size 200 in
@@ -141,9 +156,10 @@ let primitive_tests =
 (* The incremental-checker primitives, on the same 200-switch chain the
    [oracle-evaluate/200] benchmark uses so the probe cost reads directly
    against the from-scratch cost it replaces. The base schedule holds the
-   last few greedy flips out; probes cycle through them (two or more
-   distinct probes, so the single-flip memo never short-circuits the
-   measurement). *)
+   last few greedy flips out; probes cycle through them. [probe] memoises
+   every flip probed on the base, so after the first cycle it would time
+   verdict-table lookups: the probe row measures the uncached incremental
+   evaluation through [probe_list] of the single flip instead. *)
 let oracle_incremental_tests =
   let inst = instance_of_size 200 in
   let sched =
@@ -169,7 +185,7 @@ let oracle_incremental_tests =
       Test.make ~name:"oracle-incremental/probe/200"
         (Staged.stage (fun () ->
              let v, t = next () in
-             ignore (Oracle.Checker.probe ck v t)));
+             ignore (Oracle.Checker.probe_list ck [ (v, t) ])));
       Test.make ~name:"oracle-incremental/push-pop/200"
         (Staged.stage (fun () ->
              let v, t = next () in
@@ -504,6 +520,7 @@ let oracle_cache_json ~micro =
          ("cache_hits", "oracle.cache_hits");
          ("cohorts_retraced", "oracle.cohorts_retraced");
          ("full_evals", "oracle.full_evals");
+         ("probe_reuses", "oracle.probe_reuses");
        ]
     @ [ ("probes_per_s", probes_per_s) ])
 

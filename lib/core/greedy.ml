@@ -4,7 +4,9 @@ module Obs = Chronus_obs.Obs
 
 (* Observability (see OBSERVABILITY.md): candidate evaluations count
    every safety check of a (switch, step) pair; feasibility checks count
-   full dynamic-flow oracle evaluations, the expensive subset. Both only
+   the questions put to the oracle — each [exact_check] or [assess] (an
+   incremental [Oracle.Checker.probe], possibly a verdict-table reuse) and
+   each from-scratch validation of a finished Analytic plan. Both only
    observe — the scheduler's decisions never read them. *)
 let c_rounds = Obs.Counter.v "greedy.rounds"
 let c_cands = Obs.Counter.v "greedy.candidate_evals"
@@ -333,8 +335,8 @@ let rec schedule_with_stats ?(mode = Exact) ?(relax_congestion = false) ?oracle
     when (not relax_congestion) && not (validated sched) ->
       (* The analytic checks approximate in-flight traffic on routes that
          flipped mid-journey; when the final validation catches such a
-         miss, the oracle-gated engine redoes the work. Rare in practice
-         (the analytic engine is exact for single-clash instances). *)
+         miss, the oracle-gated engine redoes the work. Not rare: the
+         [Analytic] doc in greedy.mli gives the measured share. *)
       let exact_result, exact_stats =
         schedule_with_stats ~mode:Exact ~relax_congestion ?oracle inst
       in

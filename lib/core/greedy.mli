@@ -23,10 +23,16 @@ type mode =
   | Analytic
       (** the paper's polynomial checks via {!Safety.analytic}; scales to
           thousands of switches (Fig. 10). The finished schedule is
-          validated once against the oracle; in the rare case the
-          polynomial approximation missed an interaction, the scheduler
+          validated once against the oracle; when the polynomial
+          approximation missed an interaction, the scheduler
           transparently redoes the work in [Exact] mode — so [Scheduled]
-          results are always oracle-consistent in both modes. *)
+          results are always oracle-consistent in both modes. Misses
+          never occur on [Scenario.long_chain] instances but are the
+          majority on [Scenario.random_final] ones whose final path
+          revisits the chain out of order: 301 of the 427 plans
+          validated over 500 instances with n 20-24 and capacities
+          1/2/2; 255 of those left a loop or blackhole, 46 only an
+          overload. *)
 
 type outcome =
   | Scheduled of Schedule.t

@@ -8,6 +8,7 @@ let c_hits = Obs.Counter.v "oracle.cache_hits"
 let c_retraced = Obs.Counter.v "oracle.cohorts_retraced"
 let c_full = Obs.Counter.v "oracle.full_evals"
 let c_retargets = Obs.Counter.v "oracle.retargets"
+let c_reuses = Obs.Counter.v "oracle.probe_reuses"
 
 (* All oracle keys are small ints (switch ids, time steps); monomorphic
    hashing avoids the polymorphic-hash walk on every hot-path lookup. *)
@@ -164,14 +165,95 @@ let consults c =
       in
       drop_last c.visits
 
+(* A reusable open-addressed int -> int table over packed link keys: the
+   per-step load map [assemble] builds. Linear probing over power-of-two
+   arrays kept at most half full; [vals] doubles as the occupancy mark
+   (loads are >= 0, so -1 is "empty") and [used] lists the occupied slots
+   in insertion order, so a reset costs the entries the last use wrote,
+   not the table's size, and iteration never scans empty slots.
+
+   The arrays are bigarrays, stored outside the OCaml heap: a window on
+   an 800-switch chain needs tens of thousands of slots, and as int
+   arrays those large blocks raised the peak major heap of a planning
+   run by 2-5%. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ints_make n v : ints =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  Bigarray.Array1.fill a v;
+  a
+
+type loads = {
+  mutable keys : ints;
+  mutable vals : ints;  (** load per slot; -1 = empty *)
+  mutable used : ints;  (** occupied slots, first [count] valid *)
+  mutable count : int;
+  mutable shift : int;  (** [63 - log2 (dim vals)] *)
+}
+
+(* 64 slots to start; [loads_add] doubles the table on demand. *)
+let loads_create () =
+  let bits = 6 in
+  let cap = 1 lsl bits in
+  {
+    keys = ints_make cap 0;
+    vals = ints_make cap (-1);
+    used = ints_make (cap / 2) 0;
+    count = 0;
+    shift = 63 - bits;
+  }
+
+let loads_reset l =
+  for i = 0 to l.count - 1 do
+    l.vals.{l.used.{i}} <- -1
+  done;
+  l.count <- 0
+
+(* Fibonacci hashing: the top bits of the product mix every field of the
+   packed key into the slot index. *)
+let loads_slot l key = (key * 0x1E3779B97F4A7C15) lsr l.shift
+
+let rec loads_find keys vals mask key i =
+  if vals.{i} < 0 || keys.{i} = key then i
+  else loads_find keys vals mask key ((i + 1) land mask)
+
+let rec loads_grow l =
+  let keys = l.keys and vals = l.vals and used = l.used and n = l.count in
+  let bits = 64 - l.shift in
+  let cap = 1 lsl bits in
+  l.keys <- ints_make cap 0;
+  l.vals <- ints_make cap (-1);
+  l.used <- ints_make (cap / 2) 0;
+  l.count <- 0;
+  l.shift <- 63 - bits;
+  for j = 0 to n - 1 do
+    let i = used.{j} in
+    loads_add l keys.{i} vals.{i}
+  done
+
+(* Add [d] to the load entering at packed key [key], inserting it at [d]
+   if absent ([d = 0] materialises a key without adding load). *)
+and loads_add l key d =
+  if 2 * l.count >= Bigarray.Array1.dim l.vals then loads_grow l;
+  let mask = Bigarray.Array1.dim l.vals - 1 in
+  let i = loads_find l.keys l.vals mask key (loads_slot l key) in
+  if l.vals.{i} < 0 then begin
+    l.keys.{i} <- key;
+    l.vals.{i} <- d;
+    l.used.{l.count} <- i;
+    l.count <- l.count + 1
+  end
+  else l.vals.{i} <- l.vals.{i} + d
+
 (* Per-instance lookup context for the simulation hot paths, held as
    direct-address arrays over the (small, dense) switch ids: the old and
-   new forwarding rules with the delay of the edge each rule follows,
-   the old-path prefix delays, and per-trace scratch (a flip-time array
-   mirroring the schedule under evaluation and a generation-stamped
-   visited set). A trace hop thus costs a few array reads instead of a
-   map lookup plus two hash lookups. The context is single-domain state:
-   [set_flips]/[clear_flips] bracket every batch of traces. *)
+   new forwarding rules with the delay and capacity of the edge each rule
+   follows, the old-path prefix delays, and per-call scratch (a flip-time
+   array mirroring the schedule under evaluation, a generation-stamped
+   visited set and the load table [assemble] fills). A trace hop thus
+   costs a few array reads instead of a map lookup plus two hash lookups,
+   and a capacity check one array read. The context is single-domain
+   state: [set_flips]/[clear_flips] bracket every batch of traces. *)
 type ctx = {
   nn : int;  (** node id bound: every switch id is < [nn] *)
   mutable src : int;
@@ -180,96 +262,35 @@ type ctx = {
   a_new : int array;  (** new rule next hop; -1 = none *)
   a_old_dl : int array;  (** delay of v -> a_old.(v) *)
   a_new_dl : int array;  (** delay of v -> a_new.(v) *)
+  a_old_cap : int array;  (** capacity of v -> a_old.(v) *)
+  a_new_cap : int array;  (** capacity of v -> a_new.(v) *)
   a_prefix : int array;  (** old-path prefix delay; [min_int] = off-path *)
-  caps : int Itbl.t;  (** packed (u, v) -> capacity, for the load scan *)
   mutable bg : Graph.node -> Graph.node -> int;
       (** steady cross-flow load per link, added in the capacity scan *)
   flip : int array;  (** scratch: flip time of the schedule being traced *)
   stamp : int array;  (** scratch: visited marks, valid when = [gen] *)
   mutable gen : int;
+  loads : loads;  (** scratch: [assemble]'s load table, reset per call *)
 }
-
-let pack2 u v = (u lsl 21) lor v
 
 let no_background _ _ = 0
 
-let make_ctx ?(background = no_background) inst =
+(* Fill the rule, edge and prefix entries for [inst]'s path switches (the
+   only switches with a rule) into arrays holding their empty defaults. *)
+let load_instance ctx inst =
   let g = inst.Instance.graph in
-  let nodes = Graph.nodes g in
-  let nn = 1 + List.fold_left max 0 nodes in
-  let a_old = Array.make nn (-1) and a_new = Array.make nn (-1) in
-  let a_old_dl = Array.make nn 0 and a_new_dl = Array.make nn 0 in
-  List.iter
-    (fun v ->
-      (match Instance.old_next inst v with
-      | Some w ->
-          a_old.(v) <- w;
-          a_old_dl.(v) <- Graph.delay g v w
-      | None -> ());
-      match Instance.new_next inst v with
-      | Some w ->
-          a_new.(v) <- w;
-          a_new_dl.(v) <- Graph.delay g v w
-      | None -> ())
-    nodes;
-  let a_prefix = Array.make nn min_int in
-  let rec walk acc = function
-    | [] | [ _ ] -> ()
-    | u :: (v :: _ as rest) ->
-        if a_prefix.(u) = min_int then a_prefix.(u) <- acc;
-        let acc = acc + Graph.delay g u v in
-        if a_prefix.(v) = min_int then a_prefix.(v) <- acc;
-        walk acc rest
+  let set_rule next dl cap v = function
+    | Some w ->
+        let e = Option.get (Graph.find_edge g v w) in
+        next.(v) <- w;
+        dl.(v) <- e.Graph.delay;
+        cap.(v) <- e.Graph.capacity
+    | None -> ()
   in
-  (match inst.Instance.p_init with
-  | [ only ] -> a_prefix.(only) <- 0
-  | p -> walk 0 p);
-  let caps = Itbl.create 64 in
-  List.iter
-    (fun (u, v, e) -> Itbl.replace caps (pack2 u v) e.Graph.capacity)
-    (Graph.edges g);
-  {
-    nn;
-    src = Instance.source inst;
-    dst = Instance.destination inst;
-    a_old;
-    a_new;
-    a_old_dl;
-    a_new_dl;
-    a_prefix;
-    caps;
-    bg = background;
-    flip = Array.make nn max_int;
-    stamp = Array.make nn 0;
-    gen = 0;
-  }
-
-(* Re-point a context at another instance over the *same* graph: the
-   direct-address arrays are sized by the graph's node bound and the
-   capacity table is keyed by its edges, so both survive; only the rule,
-   delay and prefix entries — populated on path switches alone — need a
-   reset and a refill. O(nn + path length) instead of the O(nodes + edges)
-   of [make_ctx], which is what makes pooling checker sessions across
-   transactions worthwhile. *)
-let retarget_ctx ctx ?background inst =
-  let g = inst.Instance.graph in
-  Array.fill ctx.a_old 0 ctx.nn (-1);
-  Array.fill ctx.a_new 0 ctx.nn (-1);
-  Array.fill ctx.a_old_dl 0 ctx.nn 0;
-  Array.fill ctx.a_new_dl 0 ctx.nn 0;
-  Array.fill ctx.a_prefix 0 ctx.nn min_int;
   List.iter
     (fun v ->
-      (match Instance.old_next inst v with
-      | Some w ->
-          ctx.a_old.(v) <- w;
-          ctx.a_old_dl.(v) <- Graph.delay g v w
-      | None -> ());
-      match Instance.new_next inst v with
-      | Some w ->
-          ctx.a_new.(v) <- w;
-          ctx.a_new_dl.(v) <- Graph.delay g v w
-      | None -> ())
+      set_rule ctx.a_old ctx.a_old_dl ctx.a_old_cap v (Instance.old_next inst v);
+      set_rule ctx.a_new ctx.a_new_dl ctx.a_new_cap v (Instance.new_next inst v))
     (inst.Instance.p_init @ inst.Instance.p_fin);
   let rec walk acc = function
     | [] | [ _ ] -> ()
@@ -283,10 +304,51 @@ let retarget_ctx ctx ?background inst =
   | [ only ] -> ctx.a_prefix.(only) <- 0
   | p -> walk 0 p);
   ctx.src <- Instance.source inst;
-  ctx.dst <- Instance.destination inst;
-  match background with Some bg -> ctx.bg <- bg | None -> ()
+  ctx.dst <- Instance.destination inst
 
-let edge_cap ctx u v = Itbl.find ctx.caps (pack2 u v)
+(* A throwaway [evaluate] context's load table pays only for the entries
+   its window needs; a checker's keeps the size its largest window
+   reached. *)
+let make_ctx ?(background = no_background) inst =
+  let nn = 1 + List.fold_left max 0 (Graph.nodes inst.Instance.graph) in
+  let ctx =
+    {
+      nn;
+      src = 0;
+      dst = 0;
+      a_old = Array.make nn (-1);
+      a_new = Array.make nn (-1);
+      a_old_dl = Array.make nn 0;
+      a_new_dl = Array.make nn 0;
+      a_old_cap = Array.make nn 0;
+      a_new_cap = Array.make nn 0;
+      a_prefix = Array.make nn min_int;
+      bg = background;
+      flip = Array.make nn max_int;
+      stamp = Array.make nn 0;
+      gen = 0;
+      loads = loads_create ();
+    }
+  in
+  load_instance ctx inst;
+  ctx
+
+(* Re-point a context at another instance over the *same* graph: the
+   direct-address arrays are sized by the graph's node bound, so they
+   survive; only the rule, edge and prefix entries — populated on path
+   switches alone — need a reset and a refill. O(nn + path length) instead
+   of [make_ctx]'s walk over the graph, which is what makes pooling checker
+   sessions across transactions worthwhile. *)
+let retarget_ctx ctx ?background inst =
+  Array.fill ctx.a_old 0 ctx.nn (-1);
+  Array.fill ctx.a_new 0 ctx.nn (-1);
+  Array.fill ctx.a_old_dl 0 ctx.nn 0;
+  Array.fill ctx.a_new_dl 0 ctx.nn 0;
+  Array.fill ctx.a_old_cap 0 ctx.nn 0;
+  Array.fill ctx.a_new_cap 0 ctx.nn 0;
+  Array.fill ctx.a_prefix 0 ctx.nn min_int;
+  load_instance ctx inst;
+  match background with Some bg -> ctx.bg <- bg | None -> ()
 
 (* Load the schedule's flip times into the context's scratch array (and
    restore the "never flips" sentinel afterwards). Every call to
@@ -436,7 +498,8 @@ let trace_window ctx params =
 let assemble inst ctx params sims =
   let demand = inst.Instance.demand in
   let { tau_start; stable_from; s_off; s_nxt; rep_viol; _ } = params in
-  let loads = Itbl.create 256 in
+  let loads = ctx.loads in
+  loads_reset loads;
   let flow_violations =
     ref (match rep_viol with None -> [] | Some v -> [ v ])
   in
@@ -445,11 +508,10 @@ let assemble inst ctx params sims =
       (match s.s_viol with
       | None -> ()
       | Some v -> flow_violations := v :: !flow_violations);
-      Array.iter
-        (fun key ->
-          let current = Option.value ~default:0 (Itbl.find_opt loads key) in
-          Itbl.replace loads key (current + demand))
-        s.s_entries)
+      let entries = s.s_entries in
+      for i = 0 to Array.length entries - 1 do
+        loads_add loads entries.(i) demand
+      done)
     sims;
   (* Does the pure steady stream enter link (u, v) at step t? Exactly the
      cohorts injected strictly before [tau_start] are accounted here; the
@@ -469,34 +531,40 @@ let assemble inst ctx params sims =
   (* The two closed-form streams can share a link over a window that no
      simulated cohort touches: on every link of the stable route that is
      also an old-path link, the stable head overlaps the pure tail for the
-     steps where both deliver. Materialise those keys so the capacity scan
-     sees them. *)
+     steps where both deliver. Materialise those keys (at load 0) so the
+     capacity scan sees them. *)
   for u = 0 to ctx.nn - 1 do
     let next = s_nxt.(u) in
     if next >= 0 && ctx.a_old.(u) = next && ctx.a_prefix.(u) <> min_int then
       for t = s_off.(u) + stable_from to ctx.a_prefix.(u) + tau_start - 1 do
-        let key = pack u next t in
-        if not (Itbl.mem loads key) then Itbl.replace loads key 0
+        loads_add loads (pack u next t) 0
       done
   done;
   let congested = ref [] in
   let peak = ref 0 in
   let congestion_violations = ref [] in
-  Itbl.iter
-    (fun key load ->
-      let u, v, t = unpack key in
-      (* Steady cross-flow load shares the link at every step the dynamic
-         flow enters it; see the [?background] contract in the .mli. *)
-      let load = load + extra_load u v t + ctx.bg u v in
-      if load > !peak then peak := load;
-      let capacity = edge_cap ctx u v in
-      if load > capacity then begin
-        congested := (u, v, t) :: !congested;
-        congestion_violations :=
-          Congestion { u; v; time = t; load; capacity }
-          :: !congestion_violations
-      end)
-    loads;
+  let keys = loads.keys and vals = loads.vals and used = loads.used in
+  for i = 0 to loads.count - 1 do
+    let slot = used.{i} in
+    let key = keys.{slot} in
+    let u = (key lsr 42) land field_mask
+    and v = (key lsr 21) land field_mask
+    and t = (key land field_mask) - t_bias in
+    (* Steady cross-flow load shares the link at every step the dynamic
+       flow enters it; see the [?background] contract in the .mli. *)
+    let load = vals.{slot} + extra_load u v t + ctx.bg u v in
+    if load > !peak then peak := load;
+    (* Every entered link is the old- or the new-rule edge of [u]. *)
+    let capacity =
+      if ctx.a_old.(u) = v then ctx.a_old_cap.(u) else ctx.a_new_cap.(u)
+    in
+    if load > capacity then begin
+      congested := (u, v, t) :: !congested;
+      congestion_violations :=
+        Congestion { u; v; time = t; load; capacity }
+        :: !congestion_violations
+    end
+  done;
   let violations =
     List.sort_uniq compare_violation
       (!congestion_violations @ !flow_violations)
@@ -527,12 +595,10 @@ let link_loads inst sched =
   let ctx = make_ctx inst in
   set_flips ctx sched;
   let params = compute_params inst ctx sched in
-  let loads = Itbl.create 256 in
+  let loads = ctx.loads in
   let last_entry = ref min_int in
   let record u v t =
-    let key = pack u v t in
-    let current = Option.value ~default:0 (Itbl.find_opt loads key) in
-    Itbl.replace loads key (current + demand);
+    loads_add loads (pack u v t) demand;
     if t > !last_entry then last_entry := t
   in
   let run tau = ignore (trace_ctx ctx ~record tau) in
@@ -546,7 +612,9 @@ let link_loads inst sched =
     incr tau
   done;
   clear_flips ctx sched;
-  Itbl.fold (fun key load acc -> (unpack key, load) :: acc) loads []
+  List.init loads.count (fun i ->
+      let slot = loads.used.{i} in
+      (unpack loads.keys.{slot}, loads.vals.{slot}))
   |> List.sort (fun (k1, _) (k2, _) -> compare_key3 k1 k2)
 
 let is_consistent ?background inst sched =
@@ -601,9 +669,10 @@ module Checker = struct
     mutable index : (int * int) list Itbl.t;
         (** switch -> [(injection time, consult step)] over the cache *)
     mutable report : report;
-    mutable memo : (Graph.node * int * probe_state) option;
-        (** the last single-flip probe, for the probe-then-commit and
-            probe-then-push patterns of the greedy and the B&B *)
+    memo : probe_state Itbl.t;
+        (** flip key -> every single-flip probe made on the current base:
+            the greedy re-probes stalled heads at the same step, and
+            probe-then-commit/push promotes the probed state *)
     mutable frames : frame list;
   }
 
@@ -639,7 +708,7 @@ module Checker = struct
       cache = cache_of sims;
       index = build_index sims;
       report = assemble inst ctx params sims;
-      memo = None;
+      memo = Itbl.create 16;
       frames = [];
     }
 
@@ -669,7 +738,7 @@ module Checker = struct
     ck.cache <- Itbl.create 64;
     ck.index <- Itbl.create 32;
     ck.report <- assemble inst ck.ctx params [];
-    ck.memo <- None
+    Itbl.clear ck.memo
 
   (* Swap the cross-flow background load. Cached cohort traces are routing
      state and never depend on the background, so only the capacity scan
@@ -680,7 +749,7 @@ module Checker = struct
     ck.ctx.bg <- bg;
     let sims = Itbl.fold (fun _ s acc -> s :: acc) ck.cache [] in
     ck.report <- assemble ck.inst ck.ctx ck.params sims;
-    ck.memo <- None
+    Itbl.clear ck.memo
 
   let rebase ck sched =
     Obs.Counter.incr c_full;
@@ -693,7 +762,7 @@ module Checker = struct
     ck.cache <- cache_of sims;
     ck.index <- build_index sims;
     ck.report <- assemble ck.inst ck.ctx params sims;
-    ck.memo <- None;
+    Itbl.clear ck.memo;
     ck.frames <- []
 
   let compute_probe ck adds =
@@ -738,12 +807,24 @@ module Checker = struct
 
   let probe_list ck adds = (compute_probe ck adds).p_report
 
+  (* The verdict-table key of the flip [(v, t)]. Flips [compute_probe]
+     would reject (a switch id outside the context, a negative step) get
+     key -1, which is never stored, so probing them still raises. *)
+  let flip_key ck v t =
+    if v >= 0 && v < ck.ctx.nn && t >= 0 then (t * ck.ctx.nn) + v else -1
+
+  (* The oracle is deterministic and the table is dropped on every base
+     change, so a stored state is exactly what [compute_probe] would
+     return for the same flip now. *)
   let probe ck v t =
-    match ck.memo with
-    | Some (mv, mt, st) when mv = v && mt = t -> st.p_report
-    | _ ->
+    let key = flip_key ck v t in
+    match Itbl.find ck.memo key with
+    | st ->
+        Obs.Counter.incr c_reuses;
+        st.p_report
+    | exception Not_found ->
         let st = compute_probe ck [ (v, t) ] in
-        ck.memo <- Some (v, t, st);
+        Itbl.replace ck.memo key st;
         st.p_report
 
   let promote ck st =
@@ -752,13 +833,13 @@ module Checker = struct
     ck.cache <- cache_of st.p_sims;
     ck.index <- build_index st.p_sims;
     ck.report <- st.p_report;
-    ck.memo <- None
+    Itbl.clear ck.memo
 
   let commit ck v t =
     let st =
-      match ck.memo with
-      | Some (mv, mt, st) when mv = v && mt = t -> st
-      | _ -> compute_probe ck [ (v, t) ]
+      match Itbl.find ck.memo (flip_key ck v t) with
+      | st -> st
+      | exception Not_found -> compute_probe ck [ (v, t) ]
     in
     promote ck st;
     st.p_report
@@ -787,7 +868,7 @@ module Checker = struct
         ck.cache <- f.f_cache;
         ck.index <- f.f_index;
         ck.report <- f.f_report;
-        ck.memo <- None
+        Itbl.clear ck.memo
 end
 
 let pp_violation ppf = function

@@ -53,9 +53,6 @@ type report = {
   window : int * int;  (** simulated injection window (inclusive) *)
 }
 
-val rule_at : Instance.t -> Schedule.t -> Graph.node -> int -> Graph.node option
-(** Forwarding rule of a switch at a time step under a schedule. *)
-
 val trace : Instance.t -> Schedule.t -> int -> cohort
 (** Follow the cohort injected at the given step through the network. *)
 
@@ -63,9 +60,6 @@ val trace_from : Instance.t -> Schedule.t -> Graph.node -> int -> cohort
 (** [trace_from inst sched v t] follows a cohort already at switch [v] at
     step [t] (its [injected] field is set to [t]). Used by the loop check
     of Algorithm 4 to examine the first redirected cohort. *)
-
-val compare_violation : violation -> violation -> int
-(** Structural order (same as polymorphic [compare], monomorphically). *)
 
 val evaluate :
   ?background:(Graph.node -> Graph.node -> int) -> Instance.t -> Schedule.t ->
@@ -159,14 +153,18 @@ module Checker : sig
 
   val probe : t -> Graph.node -> int -> report
   (** [probe ck v t] is [evaluate inst (Schedule.add v t (base ck))],
-      incrementally. Does not change the base. The last single-flip probe
-      is memoised, so probe-then-[commit]/[push] of the same flip costs
-      one incremental evaluation, and repeating a probe is free.
+      incrementally. Does not change the base. Every single-flip probe on
+      the current base is memoised in a per-base verdict table, so
+      repeating a probe is free (counted under [oracle.probe_reuses]) and
+      probe-then-[commit]/[push] of the same flip costs one incremental
+      evaluation. The table is dropped on every base change: [commit],
+      [push], [pop], [retarget], [set_background] and [rebase].
       @raise Invalid_argument as [Schedule.add] (scheduled switch,
       negative time). *)
 
   val probe_list : t -> (Graph.node * int) list -> report
-  (** Probe several flips added together (the B&B's last-step closure). *)
+  (** Probe several flips added together (the B&B's last-step closure).
+      Not memoised: every call is a fresh incremental evaluation. *)
 
   val commit : t -> Graph.node -> int -> report
   (** Promote the probe of [(v, t)] into the new base and return its
@@ -202,5 +200,4 @@ val link_loads :
     load entering at that step; sorted. This is the occupancy of the
     time-extended network of Definition 4. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -256,6 +256,119 @@ let set_background_matches =
              report_eq (O.Checker.probe ck v t) (O.Checker.probe ck' v t))
            probed)
 
+(* The per-base verdict table must never answer across a base change. A
+   random op sequence interleaves probes — most of them repeats of a flip
+   already probed, on this base or an earlier one — with commits,
+   push/pop, retarget, set_background and rebase; every probe, and every
+   base report after a change, must equal a from-scratch evaluation
+   against the session's current instance, background and base. *)
+let verdict_table_invalidation =
+  Test.make ~count ~name:"verdict table never outlives its base"
+    (Helpers.arbitrary_instance ())
+    (fun seed ->
+      let inst = Helpers.instance_of_seed seed in
+      let rng = Rng.derive seed [ 47 ] in
+      let swapped =
+        Instance.create ~graph:inst.Instance.graph
+          ~demand:inst.Instance.demand ~p_init:inst.Instance.p_fin
+          ~p_fin:inst.Instance.p_init
+      in
+      let backgrounds = [ (fun _ _ -> 0); (fun u v -> (u + (2 * v)) mod 2) ] in
+      let ck = O.Checker.create inst Schedule.empty in
+      let cur = ref inst and bg = ref (List.hd backgrounds) in
+      let depth = ref 0 and seen = ref [] in
+      let scratch sched = O.evaluate ~background:!bg !cur sched in
+      let base_ok () =
+        report_eq (O.Checker.base_report ck) (scratch (O.Checker.base ck))
+      in
+      (* A flip on the current base: usually one probed before. *)
+      let pick_flip () =
+        let base = O.Checker.base ck in
+        match
+          List.filter (fun (v, _) -> not (Schedule.mem v base)) !seen
+        with
+        | _ :: _ as old when Rng.int rng 4 > 0 -> Some (Rng.pick rng old)
+        | _ -> (
+            match unscheduled !cur base with
+            | [] -> None
+            | free -> Some (Rng.pick rng free, Rng.in_range rng 0 7))
+      in
+      let with_flip f =
+        match pick_flip () with
+        | None -> true
+        | Some (v, t) ->
+            let expected = scratch (Schedule.add v t (O.Checker.base ck)) in
+            seen := (v, t) :: !seen;
+            report_eq (f v t) expected
+      in
+      let step () =
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 -> with_flip (O.Checker.probe ck)
+        | 4 ->
+            with_flip (fun v t ->
+                incr depth;
+                O.Checker.push ck v t)
+            && base_ok ()
+        (* Commits, retargets and background swaps need every frame
+           popped first. *)
+        | 5 | 6 | 7 | 8 when !depth > 0 ->
+            decr depth;
+            O.Checker.pop ck;
+            base_ok ()
+        | 5 -> with_flip (O.Checker.commit ck) && base_ok ()
+        | 6 | 7 ->
+            bg := Rng.pick rng backgrounds;
+            O.Checker.set_background ck !bg;
+            base_ok ()
+        | 8 ->
+            cur := if !cur == inst then swapped else inst;
+            if Rng.bool rng then O.Checker.retarget ck !cur
+            else begin
+              bg := Rng.pick rng backgrounds;
+              O.Checker.retarget ~background:!bg ck !cur
+            end;
+            base_ok ()
+        | _ ->
+            depth := 0;
+            O.Checker.rebase ck (random_partial rng !cur);
+            base_ok ()
+      in
+      let rec run k ok = if k = 0 then ok else run (k - 1) (step () && ok) in
+      run 40 true)
+
+(* A window with more link-steps than the checker's load table starts
+   with (64 slots), so its grow path is compared against [evaluate] too:
+   an 800-switch chain whose greedy plan, last flip held out, is the
+   base. Probing that flip re-opens a window of cohorts that each enter
+   hundreds of links. *)
+let test_large_window () =
+  let inst =
+    Chronus_topo.Scenario.long_chain ~rng:(Rng.make 800)
+      (Chronus_topo.Scenario.spec ~capacity_choices:[ 2 ] 800)
+  in
+  let flips =
+    match Greedy.schedule ~mode:Greedy.Analytic inst with
+    | Greedy.Scheduled s -> Schedule.to_list s
+    | Greedy.Infeasible _ -> Alcotest.fail "800-switch chain infeasible"
+  in
+  let v, tv = List.nth flips (List.length flips - 1) in
+  let base = add_all (List.filter (fun (w, _) -> w <> v) flips) Schedule.empty in
+  let full = Schedule.add v tv base in
+  let lo, hi = (O.evaluate inst full).O.window in
+  Alcotest.(check bool) "a window cohort enters more than 64 links" true
+    (hi > lo && List.length (O.trace inst full lo).O.visits > 65);
+  let ck = O.Checker.create inst base in
+  List.iter
+    (fun t ->
+      let expected = O.evaluate inst (Schedule.add v t base) in
+      Alcotest.(check bool) "probe = evaluate" true
+        (report_eq (O.Checker.probe ck v t) expected);
+      Alcotest.(check bool) "repeated probe = evaluate" true
+        (report_eq (O.Checker.probe ck v t) expected))
+    [ tv; 0; 40 ];
+  Alcotest.(check bool) "commit = evaluate" true
+    (report_eq (O.Checker.commit ck v tv) (O.evaluate inst full))
+
 (* --- Golden replays -----------------------------------------------------
 
    Schedules produced by the schedulers before the incremental oracle
@@ -380,11 +493,14 @@ let suite =
         rebase_matches;
         retarget_matches;
         set_background_matches;
+        verdict_table_invalidation;
       ]
   in
   ( name,
     qtests
     @ [
+        Alcotest.test_case "verdict table on a large window" `Quick
+          test_large_window;
         Alcotest.test_case "golden greedy schedules" `Quick test_golden_greedy;
         Alcotest.test_case "golden fallback schedules" `Quick
           test_golden_fallback;
