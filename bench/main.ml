@@ -406,6 +406,35 @@ let fiber_tests =
            Chronus_sim.Engine.run engine));
   ]
 
+(* One Chronus timed update on the k = 16 fat-tree preloaded with its
+   compiled prefix tables: 4,096 links, of which the flow uses a handful,
+   so the row tracks what per-update link accounting costs at scale.
+   Built only when the micro part runs: compiling the tables would
+   otherwise feed the experiments' metrics. *)
+let exec_tests () =
+  let module Exec_env = Chronus_exec.Exec_env in
+  let inst = Scenario.fat_tree_reroute ~rng:(Rng.derive 1 [ 6; 0 ]) 16 in
+  let g = inst.Instance.graph in
+  let kind = E.Fig_scale.Fat_tree 16 in
+  let preinstall, _ =
+    E.Fig_scale.compiled_preinstall g kind (E.Fig_scale.addressing g kind)
+  in
+  let config =
+    {
+      Exec_env.default with
+      Exec_env.warmup = Chronus_sim.Sim_time.sec 1;
+      drain = Chronus_sim.Sim_time.sec 2;
+      preinstall;
+    }
+  in
+  [
+    Test.make ~name:"timed-exec/fat16"
+      (Staged.stage (fun () ->
+           ignore
+             (Chronus_exec.Timed_exec.run ~config ~seed:1 ~mode:Greedy.Exact
+                inst)));
+  ]
+
 let baseline_tests =
   let inst = instance_of_size 60 in
   [
@@ -427,7 +456,7 @@ let benchmarks () =
     Test.make_grouped ~name:"chronus"
       (greedy_tests @ greedy_exact_tests @ primitive_tests
       @ oracle_incremental_tests @ service_tests @ flow_table_tests
-      @ prefix_table_tests @ event_queue_tests @ fiber_tests
+      @ prefix_table_tests @ event_queue_tests @ fiber_tests @ exec_tests ()
       @ baseline_tests)
   in
   let cfg =

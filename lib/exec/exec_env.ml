@@ -8,6 +8,7 @@ module Obs = Chronus_obs.Obs
 (* Every rule-modification command from every executor flows through
    [dispatch], so this is the one place the counter lives. *)
 let c_installs = Obs.Counter.v "exec.rule_installs"
+let s_finish = Obs.Span.v "exec.finish"
 
 type config = {
   capacity_mbps : float;
@@ -190,31 +191,30 @@ let finish env ~update_done =
   (* Source emission events re-arm themselves forever; run to the horizon
      and stop. *)
   Engine.run ~until:horizon engine;
-  let series =
-    List.map
-      (fun link -> (link, Monitor.series env.monitor link))
-      (Network.links env.net)
-  in
-  let busiest, peak_mbps =
-    match Monitor.busiest_link env.monitor with
-    | Some (link, peak) -> (Some link, peak)
-    | None -> (None, 0.)
-  in
-  let stats = Network.stats env.net in
-  {
-    series;
-    busiest;
-    peak_mbps;
-    congested_samples = List.length (Monitor.congested_samples env.monitor);
-    peak_rules =
-      max (Monitor.peak_rules env.monitor)
-        (Controller.peak_rules env.controller);
-    loss_bytes = stats.Network.dropped_no_rule + stats.Network.dropped_loop;
-    update_span = max 0 (update_done - env.config.warmup);
-    commands = Controller.commands_sent env.controller;
-    events = Engine.dispatched engine;
-    violations = Monitor.violations env.monitor;
-  }
+  Obs.Span.with_h s_finish (fun () ->
+      let busiest, peak_mbps =
+        match Monitor.busiest_link env.monitor with
+        | Some (link, peak) -> (Some link, peak)
+        | None -> (None, 0.)
+      in
+      let stats = Network.stats env.net in
+      let violations = Monitor.violations env.monitor in
+      {
+        series = Monitor.all_series env.monitor;
+        busiest;
+        peak_mbps;
+        (* Every link's capacity is fixed at [build], so the overload
+           count kept at each tick is the number of congested samples. *)
+        congested_samples = violations.Monitor.overload_samples;
+        peak_rules =
+          max (Monitor.peak_rules env.monitor)
+            (Controller.peak_rules env.controller);
+        loss_bytes = stats.Network.dropped_no_rule + stats.Network.dropped_loop;
+        update_span = max 0 (update_done - env.config.warmup);
+        commands = Controller.commands_sent env.controller;
+        events = Engine.dispatched engine;
+        violations;
+      })
 
 let modify_of_update inst (u : Instance.update) =
   let dst = Instance.destination inst in

@@ -26,7 +26,9 @@ type path =
 
 val pp_path : Format.formatter -> path -> unit
 
-(** Retry/fallback policy knobs. *)
+(** Retry/fallback policy knobs. Without [?retry], {!launch} and {!run}
+    use a 200 ms ack timeout, 100 ms backoff, 3 retries and 1 s
+    slack. *)
 type retry = {
   ack_timeout : Sim_time.t;
       (** how long after the scheduled execution time to wait for the
@@ -37,9 +39,6 @@ type retry = {
       (** grace past the schedule's nominal completion before the timed
           plan is declared failed and the fallback runs *)
 }
-
-val default_retry : retry
-(** 200 ms ack timeout, 100 ms backoff, 3 retries, 1 s slack. *)
 
 type t = {
   result : Exec_env.result;

@@ -23,5 +23,3 @@ val print : row list -> unit
 
 val stable : row list -> row list
 (** The rows with every (wall-measured) timing set to [Seconds 0.]. *)
-
-val timing_to_string : timing -> string

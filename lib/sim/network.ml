@@ -12,16 +12,34 @@ type stats = {
   dropped_loop : int;
 }
 
-type link_state = {
-  capacity_mbps : float;
-  delay : Sim_time.t;
+(* A link is reached from its source switch's out-list and points at its
+   destination switch, so forwarding a chunk hashes nothing. *)
+type link = {
+  src : int;
+  dst : int;
+  mutable capacity_mbps : float;
+  mutable delay : Sim_time.t;
   mutable bytes_in : int;
+  into : switch;
 }
+
+and switch = { id : int; table : Flow_table.t; mutable out : link list }
+
+module Link = struct
+  type t = link
+
+  let src l = l.src
+  let dst l = l.dst
+  let capacity_mbps l = l.capacity_mbps
+  let bytes l = l.bytes_in
+end
 
 type t = {
   engine : Engine.t;
-  tables : (int, Flow_table.t) Hashtbl.t;
-  link_map : (int * int, link_state) Hashtbl.t;
+  switches : (int, switch) Hashtbl.t;
+  (* Every link sorted by (src, dst); [None] after [add_link] adds a
+     link, rebuilt from the out-lists on the next read. *)
+  mutable sorted : link array option;
   mutable rules_total : int;
   mutable delivered_bytes : int;
   mutable dropped_no_rule : int;
@@ -34,8 +52,8 @@ let hop_limit = 64
 let create engine =
   {
     engine;
-    tables = Hashtbl.create 64;
-    link_map = Hashtbl.create 64;
+    switches = Hashtbl.create 64;
+    sorted = None;
     rules_total = 0;
     delivered_bytes = 0;
     dropped_no_rule = 0;
@@ -46,31 +64,65 @@ let create engine =
 let engine t = t.engine
 
 let add_switch t v =
-  if not (Hashtbl.mem t.tables v) then begin
+  if not (Hashtbl.mem t.switches v) then begin
     let table = Flow_table.create () in
     Flow_table.on_size_change table (fun delta ->
         t.rules_total <- t.rules_total + delta;
         Obs.Gauge.observe g_rules_high_water t.rules_total);
-    Hashtbl.replace t.tables v table
+    Hashtbl.replace t.switches v { id = v; table; out = [] }
   end
+
+let rec out_to w = function
+  | [] -> raise Not_found
+  | l :: rest -> if l.dst = w then l else out_to w rest
 
 let add_link t ~capacity_mbps ~delay u v =
   add_switch t u;
   add_switch t v;
-  Hashtbl.replace t.link_map (u, v) { capacity_mbps; delay; bytes_in = 0 }
+  let from = Hashtbl.find t.switches u in
+  match out_to v from.out with
+  | l ->
+      l.capacity_mbps <- capacity_mbps;
+      l.delay <- delay;
+      l.bytes_in <- 0
+  | exception Not_found ->
+      let l =
+        {
+          src = u;
+          dst = v;
+          capacity_mbps;
+          delay;
+          bytes_in = 0;
+          into = Hashtbl.find t.switches v;
+        }
+      in
+      from.out <- l :: from.out;
+      t.sorted <- None
 
-let table t v = Hashtbl.find t.tables v
+let table t v = (Hashtbl.find t.switches v).table
 
 let switches t =
-  Hashtbl.fold (fun v _ acc -> v :: acc) t.tables [] |> List.sort compare
+  Hashtbl.fold (fun v _ acc -> v :: acc) t.switches [] |> List.sort compare
+
+let compare_links a b =
+  if a.src <> b.src then Int.compare a.src b.src else Int.compare a.dst b.dst
+
+let link_array t =
+  match t.sorted with
+  | Some a -> a
+  | None ->
+      let a =
+        Hashtbl.fold (fun _ sw acc -> List.rev_append sw.out acc) t.switches []
+        |> Array.of_list
+      in
+      Array.sort compare_links a;
+      t.sorted <- Some a;
+      a
 
 let links t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.link_map [] |> List.sort compare
+  Array.fold_right (fun l acc -> (l.src, l.dst) :: acc) (link_array t) []
 
-let link_state t key =
-  match Hashtbl.find_opt t.link_map key with
-  | Some l -> l
-  | None -> raise Not_found
+let link_state t (u, v) = out_to v (Hashtbl.find t.switches u).out
 
 let link_capacity_mbps t key = (link_state t key).capacity_mbps
 let link_delay t key = (link_state t key).delay
@@ -82,12 +134,12 @@ let drop t reason ~switch ~bytes =
   | Hop_limit -> t.dropped_loop <- t.dropped_loop + bytes);
   List.iter (fun f -> f reason ~switch ~bytes) t.drop_observers
 
-(* Process a chunk arriving at switch [v] now. *)
-let rec arrive t v ~dst ~tag ~bytes ~hops =
-  if hops > hop_limit then drop t Hop_limit ~switch:v ~bytes
+(* Process a chunk arriving at switch [sw] now. *)
+let rec arrive t sw ~dst ~tag ~bytes ~hops =
+  if hops > hop_limit then drop t Hop_limit ~switch:sw.id ~bytes
   else
-    match Flow_table.lookup (table t v) ~dst ~tag with
-    | None -> drop t No_rule ~switch:v ~bytes
+    match Flow_table.lookup sw.table ~dst ~tag with
+    | None -> drop t No_rule ~switch:sw.id ~bytes
     | Some rule -> (
         let tag =
           match rule.Flow_table.action.Flow_table.set_tag with
@@ -95,17 +147,18 @@ let rec arrive t v ~dst ~tag ~bytes ~hops =
           | Some stamp -> Some stamp
         in
         match rule.Flow_table.action.Flow_table.forward with
-        | Flow_table.Drop -> drop t No_rule ~switch:v ~bytes
+        | Flow_table.Drop -> drop t No_rule ~switch:sw.id ~bytes
         | Flow_table.To_host -> t.delivered_bytes <- t.delivered_bytes + bytes
         | Flow_table.Out w -> (
-            match Hashtbl.find_opt t.link_map (v, w) with
-            | None -> drop t No_rule ~switch:v ~bytes
-            | Some link ->
+            match out_to w sw.out with
+            | exception Not_found -> drop t No_rule ~switch:sw.id ~bytes
+            | link ->
                 link.bytes_in <- link.bytes_in + bytes;
                 Engine.after t.engine link.delay (fun () ->
-                    arrive t w ~dst ~tag ~bytes ~hops:(hops + 1))))
+                    arrive t link.into ~dst ~tag ~bytes ~hops:(hops + 1))))
 
-let inject t ~at ~dst ?tag ~bytes () = arrive t at ~dst ~tag ~bytes ~hops:0
+let inject t ~at ~dst ?tag ~bytes () =
+  arrive t (Hashtbl.find t.switches at) ~dst ~tag ~bytes ~hops:0
 
 let add_source t ~attach ~dst ~rate_mbps ?(chunk = Sim_time.msec 10) ~start
     ~stop () =

@@ -28,13 +28,36 @@ val add_switch : t -> int -> unit
 (** Idempotent. *)
 
 val add_link : t -> capacity_mbps:float -> delay:Sim_time.t -> int -> int -> unit
-(** Directed link. Endpoints are added as needed. *)
+(** Directed link. Endpoints are added as needed. Adding a link that
+    exists resets it: new capacity and delay, byte counter back to 0. *)
 
 val table : t -> int -> Flow_table.t
 (** The flow table of a switch. @raise Not_found for unknown switches. *)
 
 val switches : t -> int list
+
+(** A directed link's live state, as {!link_array} hands it out. *)
+module Link : sig
+  type t
+
+  val src : t -> int
+  val dst : t -> int
+  val capacity_mbps : t -> float
+
+  val bytes : t -> int
+  (** Cumulative bytes that have entered the link. *)
+end
+
+val link_array : t -> Link.t array
+(** Every link, sorted by [(src, dst)]. The array is built on the first
+    call after {!add_link} adds a new link and cached until the next
+    such call, so repeated calls return the same (physically equal)
+    array without sorting. Callers must not mutate it. *)
+
 val links : t -> (int * int) list
+(** Every link as [(src, dst)], sorted; read from the cached
+    {!link_array}, so a call costs one list, not a sort. *)
+
 val link_capacity_mbps : t -> int * int -> float
 val link_delay : t -> int * int -> Sim_time.t
 

@@ -46,6 +46,24 @@ let test_golden_fig1 () =
     (Helpers.dig
        (proj o.Order_exec.result, o.Order_exec.rounds, o.Order_exec.optimal_rounds))
 
+(* Captured before the monitor moved from hash tables to arrays. A fat-tree
+   reroute ties the peaks of every path link across 64 (k = 4) and 216
+   (k = 6, past two table resizes) sampled links, so these pin
+   [busiest_link]'s tie-break on far more links than fig1's seven. *)
+let test_golden_fat_tree_reroute () =
+  List.iter
+    (fun (k, expected) ->
+      let inst = Scenario.fat_tree_reroute ~rng:(Rng.derive 4 [ 97 ]) k in
+      let c = Timed_exec.run ~seed:1 inst in
+      Alcotest.(check string)
+        (Printf.sprintf "k = %d timed executor digest" k)
+        expected
+        (Helpers.dig (proj c.Timed_exec.result)))
+    [
+      (4, "791b32216ceb1947fd103e2e5ad77d4a");
+      (6, "fd58ec34028d1c05da8a48c53c25ca21");
+    ]
+
 let test_golden_fig_robust () =
   let rows = E.Fig_robust.run ~jobs:1 ~scale:E.Scale.tiny () in
   Alcotest.(check string) "robustness grid digest"
@@ -135,6 +153,8 @@ let suite =
     [
       Alcotest.test_case "golden fig1 digests (seed-identical)" `Quick
         test_golden_fig1;
+      Alcotest.test_case "golden fat-tree reroute digests" `Quick
+        test_golden_fat_tree_reroute;
       Alcotest.test_case "golden fig_robust digest (seed-identical)" `Slow
         test_golden_fig_robust;
       Alcotest.test_case "fat-tree k=8 end-to-end" `Slow test_fat_tree_k8;
