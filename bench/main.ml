@@ -196,8 +196,8 @@ let oracle_incremental_tests =
 (* The data-plane structures, at the acceptance load: 1000 rules per
    switch over 256 destinations. The indexed table answers lookups from
    a per-destination bucket; the legacy list — the seed implementation,
-   kept in-tree as [Flow_table.Legacy] — scans all 1000 rules, so the
-   pair of rows reads directly as the speedup. *)
+   kept as the reference model [Ref_flow_table.Legacy] — scans all 1000
+   rules, so the pair of rows reads directly as the speedup. *)
 let flow_table_tests =
   let module FT = Chronus_sim.Flow_table in
   let act = { FT.set_tag = None; forward = FT.To_host } in
@@ -210,10 +210,11 @@ let flow_table_tests =
     (fun (priority, dst) ->
       ignore (FT.install t ~priority ~dst ~tag_match:FT.Any_tag act))
     rules;
-  let l = FT.Legacy.create () in
+  let module Legacy = Ref_flow_table.Legacy in
+  let l = Legacy.create () in
   List.iter
     (fun (priority, dst) ->
-      ignore (FT.Legacy.install l ~priority ~dst ~tag_match:FT.Any_tag act))
+      ignore (Legacy.install l ~priority ~dst ~tag_match:FT.Any_tag act))
     rules;
   let probes =
     let rng = Rng.make 78 in
@@ -225,7 +226,7 @@ let flow_table_tests =
       (Staged.stage (fun () -> ignore (FT.lookup t ~dst:(next ()) ~tag:None)));
     Test.make ~name:"flow-table/legacy-lookup/1000"
       (Staged.stage (fun () ->
-           ignore (FT.Legacy.lookup l ~dst:(next ()) ~tag:None)));
+           ignore (Legacy.lookup l ~dst:(next ()) ~tag:None)));
     Test.make ~name:"flow-table/modify/1000"
       (Staged.stage (fun () ->
            ignore (FT.modify_actions t ~dst:(next ()) ~tag_match:FT.Any_tag act)));
@@ -264,29 +265,31 @@ let prefix_table_tests =
 
 (* Steady-state hold model (push one, dispatch one) on a queue holding
    1000 pending events with microsecond-spread timestamps — the
-   calendar ring against the seed binary heap it replaced. *)
+   calendar ring against the seed binary heap it replaced, kept as the
+   reference model [Ref_event_queue]. *)
 let event_queue_tests =
   let module EQ = Chronus_sim.Event_queue in
+  let module Heap = Ref_event_queue in
   let times =
     let rng = Rng.make 79 in
     Array.init 4096 (fun _ -> Rng.int rng 1_000_000)
   in
   let nothing () = () in
   let preload push = for i = 0 to 999 do push ~time:times.(i) nothing done in
-  let cq = EQ.Calendar.create () in
-  preload (EQ.Calendar.push cq);
-  let hq = EQ.Heap.create () in
-  preload (EQ.Heap.push hq);
+  let cq = EQ.create () in
+  preload (EQ.push cq);
+  let hq = Heap.create () in
+  preload (Heap.push hq);
   let next = cycle ~from:1000 times in
   [
     Test.make ~name:"event-queue/push-pop"
       (Staged.stage (fun () ->
-           EQ.Calendar.push cq ~time:(next ()) nothing;
-           ignore (EQ.Calendar.run_next cq)));
+           EQ.push cq ~time:(next ()) nothing;
+           ignore (EQ.run_next cq)));
     Test.make ~name:"event-queue/heap-push-pop"
       (Staged.stage (fun () ->
-           EQ.Heap.push hq ~time:(next ()) nothing;
-           ignore (EQ.Heap.run_next hq)));
+           Heap.push hq ~time:(next ()) nothing;
+           ignore (Heap.run_next hq)));
   ]
 
 (* The update service's admission pipeline, on the shared-WAN shape

@@ -6,7 +6,6 @@ let c_nodes = Obs.Counter.v "opt.nodes_expanded"
 let c_prunes = Obs.Counter.v "opt.prunes"
 let c_incumbent = Obs.Counter.v "opt.incumbent_improvements"
 let s_solve = Obs.Span.v "opt.solve"
-let p_worker = Obs.Point.v "opt.worker_done"
 
 type outcome =
   | Optimal of Schedule.t
@@ -29,8 +28,7 @@ let violation_time = function
   | Oracle.Blackhole { time; _ } ->
       time
 
-(* The DFS core shared by the single-domain solver and the portfolio
-   workers. [tick] accounts a search node (and raises {!Out_of_budget}).
+(* The DFS core. [tick] accounts a search node (and raises {!Out_of_budget}).
    [ck] is an incremental oracle session whose base tracks the schedule
    under construction — the search probes sibling subsets of the same
    parent schedule, the checker's best case. A violation at or below a
@@ -40,9 +38,8 @@ let violation_time = function
    Every branch brackets its extension with [push]/[pop] on the normal
    return path, so [ck]'s base equals [sched] at each entry. When [tick]
    raises {!Out_of_budget} the unwinding skips the pops and the session
-   is left mid-branch — both catchers (the single-domain deepening and
-   the portfolio worker) abandon the checker entirely after catching, so
-   the dirty state is never observed. *)
+   is left mid-branch — {!solve} abandons the checker entirely after
+   catching, so the dirty state is never observed. *)
 let prune () = Obs.Counter.incr c_prunes
 
 let violated_below report frontier =
@@ -108,213 +105,21 @@ and choose ~inst ~tick ~ck ~t ~bound sched_acc committed remaining rest =
       | None ->
           choose ~inst ~tick ~ck ~t ~bound sched_acc committed remaining tl)
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio mode: root-split branch and bound over [jobs] domains.
-
-   The first [k] inclusion/exclusion decisions of step 0 (does switch
-   [i] flip at time 0 or not?) span a partition of the schedule space
-   into [2^k] disjoint prefixes, dealt round-robin to the workers. Each
-   worker runs the same iterative deepening as the single-domain solver
-   but restricted to its prefixes, and the workers share
-
-   - the best incumbent (makespan, schedule) through an [Atomic]: a
-     worker never deepens to a bound that cannot beat the incumbent, so
-     one worker's find prunes everyone else's remaining bounds;
-   - the node budget through an [Atomic] counter, so the total explored
-     work respects [budget] no matter how it splits across domains.
-
-   A bound [m] is proven empty only once every prefix failed it, and
-   every worker visits all its prefixes in ascending-bound order, so
-   when the workers are done the incumbent is the global optimum —
-   unless the shared budget or the wall-clock deadline tripped, in
-   which case the incumbent (or the caller's hint) is reported
-   [Feasible], exactly like the single-domain fallback. *)
-
-type worker_verdict = Completed | Budget_hit
-
-let solve_portfolio ~jobs ~budget ~timeout ~upper ~lower ~hint inst =
-  let all = Instance.switches_to_update inst in
-  let k =
-    let rec ceil_log2 acc = if 1 lsl acc >= jobs then acc else ceil_log2 (acc + 1) in
-    (* One extra split level gives each worker several prefixes to
-       balance wildly uneven subtree sizes; cap at 2^6 prefixes. *)
-    min (min (ceil_log2 0 + 1) 6) (List.length all)
-  in
-  let prefix_count = 1 lsl k in
-  let prefix_switches = Array.of_list (List.filteri (fun i _ -> i < k) all) in
-  let rest_switches = List.filteri (fun i _ -> i >= k) all in
-  let explored = Atomic.make 0 in
-  let deadline = Unix.gettimeofday () +. timeout in
-  let budget_hit = Atomic.make false in
-  let incumbent : (int * Schedule.t) option Atomic.t =
-    Atomic.make
-      (match hint with
-      | Some s when Schedule.makespan s <= upper -> Some (Schedule.makespan s, s)
-      | _ -> None)
-  in
-  let rec offer m sched =
-    let seen = Atomic.get incumbent in
-    let better = match seen with None -> true | Some (mi, _) -> m < mi in
-    if better then
-      if Atomic.compare_and_set incumbent seen (Some (m, sched)) then
-        Obs.Counter.incr c_incumbent
-      else offer m sched
-  in
-  let tick () =
-    Obs.Counter.incr c_nodes;
-    let n = Atomic.fetch_and_add explored 1 in
-    if n >= budget then begin
-      Atomic.set budget_hit true;
-      raise Out_of_budget
-    end;
-    (* The deadline is wall-clock; sample it every few hundred nodes so
-       the check does not dominate the node cost. *)
-    if n land 0xff = 0 && Unix.gettimeofday () > deadline then begin
-      Atomic.set budget_hit true;
-      raise Out_of_budget
-    end;
-    if Atomic.get budget_hit then raise Out_of_budget
-  in
-  let search_prefix ~tick ~ck ~bound p =
-    if bound = 1 then
-      if p = prefix_count - 1 then begin
-        (* Makespan 1 means everything flips at step 0; only the
-           all-included prefix can express it. *)
-        tick ();
-        let adds = List.map (fun v -> (v, 0)) all in
-        let sched =
-          List.fold_left (fun s (v, t) -> Schedule.add v t s) Schedule.empty
-            adds
-        in
-        let report = Oracle.Checker.probe_list ck adds in
-        if Schedule.covers inst sched && report.Oracle.ok then Some sched
-        else None
-      end
-      else None
-    else begin
-      (* Push the prefix's inclusion decisions onto the session, run the
-         shared DFS over the rest, then pop what was pushed. A branch cut
-         at depth [i] pops only its own pushes; {!Out_of_budget} escapes
-         without popping, and the worker abandons the session. *)
-      let rec build i sched committed pushed =
-        if i = k then
-          ( choose ~inst ~tick ~ck ~t:0 ~bound sched committed all
-              rest_switches,
-            pushed )
-        else begin
-          tick ();
-          if p land (1 lsl i) <> 0 then begin
-            let v = prefix_switches.(i) in
-            let sched_v = Schedule.add v 0 sched in
-            if violated_below (Oracle.Checker.probe ck v 0) (-1) then
-              (None, pushed)
-            else begin
-              ignore (Oracle.Checker.push ck v 0);
-              build (i + 1) sched_v (v :: committed) (pushed + 1)
-            end
-          end
-          else build (i + 1) sched committed pushed
-        end
-      in
-      let found, pushed = build 0 Schedule.empty [] 0 in
-      for _ = 1 to pushed do
-        Oracle.Checker.pop ck
-      done;
-      found
-    end
-  in
-  let worker w =
-    (* Each portfolio domain runs its own oracle session (checker state is
-       single-domain); [nodes] is this worker's private share of the
-       shared node count, surfaced through the trace sink. *)
-    let ck = Oracle.Checker.create inst Schedule.empty in
-    let nodes = ref 0 in
-    let tick () =
-      incr nodes;
-      tick ()
-    in
-    let finish verdict =
-      Obs.Point.emit p_worker
-        [
-          ("worker", Obs.Point.Int w);
-          ("nodes", Obs.Point.Int !nodes);
-          ( "verdict",
-            Obs.Point.String
-              (match verdict with
-              | Completed -> "completed"
-              | Budget_hit -> "budget_hit") );
-        ];
-      verdict
-    in
-    try
-      let m = ref lower in
-      let running = ref true in
-      while !running do
-        let cap =
-          match Atomic.get incumbent with
-          | Some (mi, _) -> min upper (mi - 1)
-          | None -> upper
-        in
-        if !m > cap then running := false
-        else begin
-          let found = ref None in
-          let p = ref w in
-          while !found = None && !p < prefix_count do
-            (match search_prefix ~tick ~ck ~bound:!m !p with
-            | Some sched -> found := Some sched
-            | None -> ());
-            p := !p + jobs
-          done;
-          match !found with
-          | Some sched ->
-              offer (Schedule.makespan sched) sched;
-              running := false
-          | None -> incr m
-        end
-      done;
-      finish Completed
-    with Out_of_budget -> finish Budget_hit
-  in
-  let verdicts =
-    Chronus_parallel.Pool.parallel_init ~jobs ~chunk:1 jobs worker
-  in
-  let complete = List.for_all (fun v -> v = Completed) verdicts in
-  let best = Atomic.get incumbent in
-  let outcome =
-    if complete then
-      match best with Some (_, sched) -> Optimal sched | None -> Infeasible
-    else
-      match best with
-      | Some (_, sched) -> Feasible sched
-      | None -> Unknown
-  in
-  (outcome, Atomic.get explored)
-
-(* ------------------------------------------------------------------ *)
-
-let solve ?(budget = 500_000) ?(timeout = 60.0) ?horizon ?hint ?(jobs = 1)
-    inst =
+let solve ?(budget = 500_000) ?(timeout = 60.0) ?horizon ?hint inst =
   Obs.Span.with_h s_solve @@ fun () ->
   let start = Sys.time () in
-  let wall_start = Unix.gettimeofday () in
   let explored = ref 0 in
-  let finish ?nodes outcome =
+  let finish outcome =
     let makespan =
       match outcome with
       | Optimal s | Feasible s -> Some (Schedule.makespan s)
       | Infeasible | Unknown -> None
     in
-    let elapsed =
-      (* Multi-domain runs burn processor time [jobs] times faster than
-         the wall; report what the caller actually waited. *)
-      if jobs <= 1 then Sys.time () -. start
-      else Unix.gettimeofday () -. wall_start
-    in
     {
       outcome;
       makespan;
-      nodes_explored = Option.value ~default:!explored nodes;
-      elapsed;
+      nodes_explored = !explored;
+      elapsed = Sys.time () -. start;
     }
   in
   if Instance.is_trivial inst then finish (Optimal Schedule.empty)
@@ -338,62 +143,40 @@ let solve ?(budget = 500_000) ?(timeout = 60.0) ?horizon ?hint ?(jobs = 1)
           | Greedy.Infeasible _ -> Feasibility.default_horizon inst)
     in
     let lower = max 1 (Mutp.lower_bound inst) in
-    if jobs > 1 then begin
-      let outcome, nodes =
-        solve_portfolio ~jobs ~budget ~timeout ~upper ~lower ~hint inst
-      in
-      let outcome =
-        match outcome with
-        | Unknown -> (
-            (* Only fall back on work already done, as below. *)
+    let tick () =
+      Obs.Counter.incr c_nodes;
+      incr explored;
+      if !explored > budget || Sys.time () -. start > timeout then
+        raise Out_of_budget
+    in
+    let all = Instance.switches_to_update inst in
+    (* One oracle session spans the whole deepening: each bound's DFS
+       starts and (on a normal return) ends with the empty base, so the
+       session carries its cohort cache across bounds. *)
+    let ck = Oracle.Checker.create inst Schedule.empty in
+    let rec deepen m =
+      if m > upper then None
+      else
+        match dfs ~inst ~tick ~ck 0 Schedule.empty all m with
+        | Some sched -> Some sched
+        | None -> deepen (m + 1)
+    in
+    match deepen lower with
+    | Some sched ->
+        Obs.Counter.incr c_incumbent;
+        finish (Optimal sched)
+    | None -> finish Infeasible
+    | exception Out_of_budget -> (
+        (* Only fall back on work already done: forcing a fresh greedy
+           run here would defeat the budget. *)
+        match hint with
+        | Some s -> finish (Feasible s)
+        | None ->
             if Lazy.is_val greedy_result then
               match Lazy.force greedy_result with
-              | Greedy.Scheduled s -> Feasible s
-              | Greedy.Infeasible _ -> Unknown
-            else Unknown)
-        | o -> o
-      in
-      finish ~nodes outcome
-    end
-    else begin
-      let tick () =
-        Obs.Counter.incr c_nodes;
-        incr explored;
-        if !explored > budget || Sys.time () -. start > timeout then
-          raise Out_of_budget
-      in
-      let all = Instance.switches_to_update inst in
-      (* One oracle session spans the whole deepening: each bound's DFS
-         starts and (on a normal return) ends with the empty base, so the
-         session carries its cohort cache across bounds. *)
-      let ck = Oracle.Checker.create inst Schedule.empty in
-      let deepen () =
-        let rec at m =
-          if m > upper then None
-          else
-            match dfs ~inst ~tick ~ck 0 Schedule.empty all m with
-            | Some sched -> Some sched
-            | None -> at (m + 1)
-        in
-        at lower
-      in
-      match deepen () with
-      | Some sched ->
-          Obs.Counter.incr c_incumbent;
-          finish (Optimal sched)
-      | None -> finish Infeasible
-      | exception Out_of_budget -> (
-          (* Only fall back on work already done: forcing a fresh greedy
-             run here would defeat the budget. *)
-          match hint with
-          | Some s -> finish (Feasible s)
-          | None ->
-              if Lazy.is_val greedy_result then
-                match Lazy.force greedy_result with
-                | Greedy.Scheduled s -> finish (Feasible s)
-                | Greedy.Infeasible _ -> finish Unknown
-              else finish Unknown)
-    end
+              | Greedy.Scheduled s -> finish (Feasible s)
+              | Greedy.Infeasible _ -> finish Unknown
+            else finish Unknown)
   end
 
 let makespan_of r = r.makespan

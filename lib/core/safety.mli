@@ -56,7 +56,6 @@ type stream_view
 (** A set of stream walks indexed by the switches they cross, so that the
     per-candidate checks touch only the walks that matter. *)
 
-val no_streams : stream_view
 val view_of_walks : stream_walk list -> stream_view
 
 val analytic :
@@ -67,7 +66,7 @@ val analytic :
   time:int ->
   Graph.node ->
   verdict
-(** [streams] defaults to {!no_streams}. *)
+(** [streams] defaults to the empty view: no stream walks at all. *)
 
 val exact : Instance.t -> Schedule.t -> time:int -> Graph.node -> verdict
 

@@ -196,9 +196,6 @@ let create_multi ~graph flows =
 
 let flows m = m.m_flows
 
-let flow_instance m f =
-  create ~graph:m.m_graph ~demand:f.f_demand ~p_init:f.f_init ~p_fin:f.f_fin
-
 let residual_graph g bg =
   let r = Graph.create ~size:(Graph.node_count g) () in
   List.iter (fun v -> Graph.add_node r v) (Graph.nodes g);

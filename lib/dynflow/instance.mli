@@ -77,10 +77,10 @@ val pp : Format.formatter -> t -> unit
     update service ({!Chronus_service.Service}) moves them one
     transaction at a time. A {!multi} captures that shared state: N
     flows, each with its own demand and (initial, final) path pair,
-    interacting only through the capacity of shared links. Every flow
-    projects onto the single-flow machinery via {!flow_instance}; the
-    cross-flow capacity interaction is expressed as a {!background} load
-    function that {!Oracle.evaluate} charges on shared links. *)
+    interacting only through the capacity of shared links. Each flow is
+    scheduled with the single-flow machinery; the cross-flow capacity
+    interaction is expressed as a {!background} load function that
+    {!Oracle.evaluate} charges on shared links. *)
 
 type flow = {
   fid : int;  (** caller-chosen identifier, unique and non-negative *)
@@ -109,11 +109,6 @@ val create_multi : graph:Graph.t -> flow list -> multi
 
 val flows : multi -> flow list
 (** The flow set, sorted by [fid]. *)
-
-val flow_instance : multi -> flow -> t
-(** Project one flow onto a single-flow instance over the full-capacity
-    shared graph — the form the schedulers and the oracle consume. Never
-    raises for a flow of the [multi] (its validation already ran). *)
 
 val background : (int * Path.t) list -> Graph.node -> Graph.node -> int
 (** [background loads] is the steady load function of a set of routed

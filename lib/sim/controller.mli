@@ -74,10 +74,6 @@ val barrier : t -> switch:int -> (Sim_time.t -> unit) -> unit
 (** Issue an OFBarrierRequest now; the callback receives the time at
     which the OFBarrierReply reaches the controller. *)
 
-val barrier_all : t -> switches:int list -> (Sim_time.t -> unit) -> unit
-(** Barrier every listed switch; the callback fires once after the last
-    reply. *)
-
 val commands_sent : t -> int
 
 val peak_rules : t -> int
@@ -89,8 +85,8 @@ val peak_rules : t -> int
     The channel itself runs on [Chronus_fiber]: each switch is a fiber
     looping on an inbox, [send] is a timed mailbox delivery, and acks
     are scheduled by the switch fiber. The waiting variants below are
-    the straight-line counterparts of {!barrier}/{!barrier_all} for
-    callers that are themselves fibers. *)
+    the straight-line counterparts of {!barrier} for callers that are
+    themselves fibers. *)
 
 val barrier_wait : t -> switch:int -> Sim_time.t
 (** {!barrier}, suspending the calling fiber until the reply arrives;
@@ -98,5 +94,5 @@ val barrier_wait : t -> switch:int -> Sim_time.t
     virtual instant, exactly where the callback would have run. *)
 
 val barrier_all_wait : t -> switches:int list -> Sim_time.t
-(** {!barrier_all}, suspending the calling fiber; returns the latest
-    reply time. *)
+(** Barrier every listed switch, suspending the calling fiber until the
+    last reply arrives; returns the latest reply time. *)

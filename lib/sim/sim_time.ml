@@ -1,6 +1,5 @@
 type t = int
 
-let usec n = n
 let msec n = n * 1_000
 let sec n = n * 1_000_000
 let of_sec_float s = int_of_float (s *. 1_000_000.)

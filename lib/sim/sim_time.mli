@@ -3,9 +3,6 @@
 
 type t = int
 
-val usec : int -> t
-(** [usec n] is [n] microseconds. *)
-
 val msec : int -> t
 (** [msec n] is [n] milliseconds. *)
 

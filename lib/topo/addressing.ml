@@ -15,7 +15,6 @@ type t = {
 
 let holders t = t.a_holders
 let hosts_per_holder t = t.a_hosts_per_holder
-let host_bits t = t.a_host_bits
 
 let addr_of t ~holder ~host =
   if host < 0 || host >= t.a_hosts_per_holder then

@@ -29,8 +29,6 @@ val holders : t -> int list
 
 val hosts_per_holder : t -> int
 
-val host_bits : t -> int
-
 val addr_of : t -> holder:int -> host:int -> int
 (** The address of [host] (in [0 .. hosts_per_holder - 1]) attached to
     holder switch [holder]. *)

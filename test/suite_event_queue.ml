@@ -5,8 +5,8 @@
    the same times in the same order (FIFO within a timestamp). *)
 
 open Chronus_sim
-module C = Event_queue.Calendar
-module H = Event_queue.Heap
+module C = Event_queue
+module H = Ref_event_queue
 module Rng = Chronus_topo.Rng
 
 (* Times drawn from a mix of regimes so the calendar exercises in-day

@@ -1,6 +1,6 @@
 (* Differential suite: the prefix-capable Flow_table against the
-   dst-indexed exact table and the legacy list implementation behind the
-   same seam. Random operation sequences — installs, modifies, removes,
+   reference models of test/ref, the dst-indexed exact table and the
+   legacy list implementation. Random operation sequences — installs, modifies, removes,
    snapshots, crash-restarts — must leave all three structures in states
    that agree exactly: same sizes, same counts returned, same
    (priority, id) tie-breaks on every lookup, same [rules] listing. A
@@ -9,8 +9,8 @@
 
 open Chronus_sim
 module FT = Flow_table
-module X = Flow_table.Exact
-module L = Flow_table.Legacy
+module X = Ref_flow_table.Exact
+module L = Ref_flow_table.Legacy
 
 let n_dsts = 5
 let tags = [ FT.Any_tag; FT.Tag 1; FT.Tag 2 ]

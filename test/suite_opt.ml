@@ -37,13 +37,33 @@ let test_budget_degrades_gracefully () =
   | Opt.Feasible s -> Helpers.check_consistent "fallback schedule" inst s
   | Opt.Optimal _ -> Alcotest.fail "cannot be proven optimal in 3 nodes"
   | Opt.Infeasible -> Alcotest.fail "fig1 is feasible");
-  (* ...with one, the hint comes back as the Feasible fallback. *)
-  match
-    (Opt.solve ~budget:3 ~hint:Helpers.fig1_paper_schedule inst).Opt.outcome
-  with
-  | Opt.Feasible s -> Helpers.check_consistent "hint returned" inst s
-  | Opt.Optimal _ -> Alcotest.fail "cannot be proven optimal in 3 nodes"
-  | Opt.Infeasible | Opt.Unknown -> Alcotest.fail "hint should be reused"
+  (* ...with one, the hint comes back as the Feasible fallback: on the
+     worked example and on a 14-switch random instance hinted with its
+     greedy schedule. *)
+  let random14 =
+    let rng = Chronus_topo.Rng.make 77 in
+    Chronus_topo.Scenario.random_final ~rng (Chronus_topo.Scenario.spec 14)
+  in
+  let greedy14 =
+    match Greedy.schedule random14 with
+    | Greedy.Scheduled s -> s
+    | Greedy.Infeasible _ -> Alcotest.fail "seed 77 greedy infeasible"
+  in
+  List.iter
+    (fun (name, inst, hint) ->
+      match (Opt.solve ~budget:3 ~hint inst).Opt.outcome with
+      | Opt.Feasible s ->
+          Helpers.check_consistent (name ^ ": hint returned") inst s;
+          Alcotest.(check bool) (name ^ ": the hint itself") true
+            (Schedule.equal s hint)
+      | Opt.Optimal _ ->
+          Alcotest.failf "%s: cannot be proven optimal in 3 nodes" name
+      | Opt.Infeasible | Opt.Unknown ->
+          Alcotest.failf "%s: hint should be reused" name)
+    [
+      ("fig1", inst, Helpers.fig1_paper_schedule);
+      ("seed 77 random_final n=14", random14, greedy14);
+    ]
 
 let test_matches_exhaustive () =
   (* Both searches restricted to the same small makespan horizon so the

@@ -397,10 +397,14 @@ let golden_greedy =
     (31415, [ (2, 0); (3, 0); (4, 2); (5, 4) ]);
   ]
 
+(* (seed, optimal makespan, search nodes explored). The node count pins
+   the branch-and-bound trajectory, not just its answer: a refactor that
+   reorders branches keeps the optimum but moves the count. *)
 let golden_opt_makespan =
   [
-    (1, 8); (7, 7); (23, 5); (123, 6); (777, 4); (2024, 6); (4242, 2);
-    (9001, 4); (31415, 5);
+    (1, 8, 3722); (7, 7, 33268); (23, 5, 1071); (123, 6, 45893);
+    (777, 4, 125); (2024, 6, 929); (4242, 2, 4); (9001, 4, 88);
+    (31415, 5, 794);
   ]
 
 let test_golden_greedy () =
@@ -460,8 +464,10 @@ let test_golden_opt () =
         [ (2, 0); (1, 1); (3, 1); (4, 2); (5, 3) ]
         (Schedule.to_list s)
   | _ -> Alcotest.fail "fig1 no longer proved optimal");
+  Alcotest.(check int) "fig1 nodes explored unchanged" 550
+    fig1.Opt.nodes_explored;
   List.iter
-    (fun (seed, golden) ->
+    (fun (seed, golden, nodes) ->
       let r =
         Opt.solve ~budget:100_000 ~timeout:10.0
           (Helpers.instance_of_seed seed)
@@ -470,7 +476,10 @@ let test_golden_opt () =
       | Opt.Optimal s ->
           Alcotest.(check int)
             (Printf.sprintf "seed %d optimal makespan unchanged" seed)
-            golden (Schedule.makespan s)
+            golden (Schedule.makespan s);
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d nodes explored unchanged" seed)
+            nodes r.Opt.nodes_explored
       | _ -> Alcotest.failf "seed %d no longer proved optimal" seed)
     golden_opt_makespan;
   let r =
